@@ -119,7 +119,7 @@ func renderTop(w io.Writer, addr string, samples []obs.Sample) {
 
 	var sweepTotal float64
 	var sweepParts []string
-	for _, source := range []string{"cache", "direct", "recorded", "replayed"} {
+	for _, source := range []string{"cache", "direct", "replayed"} {
 		n := v("swpf_sweep_cells_total", obs.L("source", source))
 		sweepTotal += n
 		sweepParts = append(sweepParts, fmt.Sprintf("%s %.0f", source, n))

@@ -67,10 +67,10 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("%s: %+v, want %v", name, s, want)
 		}
 	}
-	// The local worker simulated every cell through the instrumented
-	// sweep engine; direct + recorded + replayed must cover the grid.
+	// The local worker served every cell through the instrumented
+	// sweep engine; cache + direct + replayed must cover the grid.
 	var simulated float64
-	for _, source := range []string{"direct", "recorded", "replayed"} {
+	for _, source := range []string{"cache", "direct", "replayed"} {
 		if s := obs.Find(samples, "swpf_sweep_cells_total", obs.L("source", source)); s != nil {
 			simulated += s.Value
 		}

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/interp"
+	"repro/internal/prefetch"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workloads"
@@ -48,31 +49,28 @@ func optionsMeta(o Options) string {
 	return string(b)
 }
 
-// Record executes the requested variant of the workload on cfg with
-// the trace recorder attached, returning the sealed trace alongside
-// the run's own Result. The Result is exactly what Run would have
-// produced (recording does not perturb the simulation), so a caller
-// recording for a grid gets the recording configuration's cell for
-// free. The trace itself is machine-independent: recording under any
-// configuration yields identical bytes, which is why one trace serves
-// every machine × hwpf cell of a (workload, variant) group.
-func (cx *Context) Record(w *workloads.Workload, cfg *sim.Config, v Variant, o Options) (*trace.Trace, *Result, error) {
+// RecordTrace interprets the requested variant of the workload on a
+// recorder (interp.NewRecorder): functionally, with no machine and no
+// timing. It returns the sealed trace and the prefetch pass report
+// (nil for variants without a pass). The trace is machine-independent,
+// which is why one trace serves every machine × hwpf cell of a
+// (workload, variant) group: build its interp.Image once and retime it
+// per configuration with Context.ReplayImage.
+func RecordTrace(w *workloads.Workload, v Variant, o Options) (*trace.Trace, *prefetch.Result, error) {
 	inst, passRes, err := instance(w, v, o)
 	if err != nil {
 		return nil, nil, err
 	}
 
-	mach := interp.NewOnCore(inst.Mod, cx.core(cfg))
-	mach.MaxInstrs = o.MaxInstrs
 	tw := trace.NewWriter()
-	mach.RecordTo(tw)
+	mach := interp.NewRecorder(inst.Mod, tw)
+	mach.MaxInstrs = o.MaxInstrs
 	sum, err := inst.Exec(mach)
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: record %s/%s on %s: %w", w.Name, v, cfg.Name, err)
+		return nil, nil, fmt.Errorf("core: record %s/%s: %w", w.Name, v, err)
 	}
 	if sum != inst.Want {
-		return nil, nil, fmt.Errorf("core: record %s/%s on %s: checksum %d, want %d",
-			w.Name, v, cfg.Name, sum, inst.Want)
+		return nil, nil, fmt.Errorf("core: record %s/%s: checksum %d, want %d", w.Name, v, sum, inst.Want)
 	}
 
 	st := mach.Stats()
@@ -86,12 +84,28 @@ func (cx *Context) Record(w *workloads.Workload, cfg *sim.Config, v Variant, o O
 			Checksum: sum,
 		},
 	)
-	return t, assemble(w.Name, cfg.Name, v, sum, st, mach.Core.Hierarchy(), passRes), nil
+	return t, passRes, nil
 }
 
-// Record is the package-level one-shot form of Context.Record.
-func Record(w *workloads.Workload, cfg *sim.Config, v Variant, o Options) (*trace.Trace, *Result, error) {
-	return NewContext().Record(w, cfg, v, o)
+// Record records the requested variant of the workload (RecordTrace)
+// and replays the trace on cfg, returning the trace together with
+// cfg's Result. The Result equals what Run would have produced, Pass
+// included.
+func (cx *Context) Record(w *workloads.Workload, cfg *sim.Config, v Variant, o Options) (*trace.Trace, *Result, error) {
+	t, passRes, err := RecordTrace(w, v, o)
+	if err != nil {
+		return nil, nil, err
+	}
+	im, err := interp.NewImage(t)
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: record %s/%s: %w", w.Name, v, err)
+	}
+	res, err := cx.ReplayImage(im, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	res.Pass = passRes
+	return t, res, nil
 }
 
 // ReplayImage retimes a predecoded trace on cfg, reusing the context's
@@ -108,20 +122,4 @@ func (cx *Context) ReplayImage(im *interp.Image, cfg *sim.Config) (*Result, erro
 	}
 	return assemble(t.Meta.Workload, cfg.Name, Variant(t.Meta.Variant), t.Summary.Checksum,
 		st, cx.core(cfg).Hierarchy(), nil), nil
-}
-
-// ReplayTrace is the one-shot form: decode and retime in one call.
-// Callers replaying one trace on several configurations should build
-// the interp.Image once and use ReplayImage.
-func (cx *Context) ReplayTrace(t *trace.Trace, cfg *sim.Config) (*Result, error) {
-	im, err := interp.NewImage(t)
-	if err != nil {
-		return nil, fmt.Errorf("core: replay %s/%s: %w", t.Meta.Workload, t.Meta.Variant, err)
-	}
-	return cx.ReplayImage(im, cfg)
-}
-
-// ReplayTrace is the package-level one-shot form of Context.ReplayTrace.
-func ReplayTrace(t *trace.Trace, cfg *sim.Config) (*Result, error) {
-	return NewContext().ReplayTrace(t, cfg)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/interp"
@@ -14,7 +15,8 @@ import (
 // host-side memory writes between kernel invocations, and pass-
 // transformed variants with prefetches), a trace recorded once replays
 // on every machine with a Result identical to a direct Run there —
-// Pass excepted, which replay does not reconstruct.
+// Pass excepted, which replay does not reconstruct — and Record's
+// Result equals Run's, Pass included.
 func TestRecordReplayMatchesRun(t *testing.T) {
 	ws := []*workloads.Workload{
 		workloads.IS(1<<10, 1<<12),
@@ -25,21 +27,24 @@ func TestRecordReplayMatchesRun(t *testing.T) {
 	o := Options{}
 	for _, w := range ws {
 		for _, v := range []Variant{VariantPlain, VariantAuto} {
-			tr, recRes, err := Record(w, cfgs[0], v, o)
-			if err != nil {
-				t.Fatalf("record %s/%s: %v", w.Name, v, err)
-			}
-			im, err := interp.NewImage(tr)
-			if err != nil {
-				t.Fatalf("image %s/%s: %v", w.Name, v, err)
-			}
+			im := recordImage(t, w, v, o)
 			cx := NewContext()
-			for i, cfg := range cfgs {
+			for _, cfg := range cfgs {
 				want, err := cx.Run(w, cfg, v, o)
 				if err != nil {
 					t.Fatalf("run %s/%s on %s: %v", w.Name, v, cfg.Name, err)
 				}
-				want.Pass = nil // replay carries nil, like store-served results
+				_, rec, err := cx.Record(w, cfg, v, o)
+				if err != nil {
+					t.Fatalf("record %s/%s on %s: %v", w.Name, v, cfg.Name, err)
+				}
+				if !reflect.DeepEqual(rec.Pass, want.Pass) {
+					t.Errorf("%s/%s on %s: Record's pass report differs from Run's", w.Name, v, cfg.Name)
+				}
+				rec.Pass, want.Pass = nil, nil
+				if *rec != *want {
+					t.Errorf("%s/%s on %s:\nrecord %+v\ndirect %+v", w.Name, v, cfg.Name, rec, want)
+				}
 				got, err := cx.ReplayImage(im, cfg)
 				if err != nil {
 					t.Fatalf("replay %s/%s on %s: %v", w.Name, v, cfg.Name, err)
@@ -47,26 +52,33 @@ func TestRecordReplayMatchesRun(t *testing.T) {
 				if *got != *want {
 					t.Errorf("%s/%s on %s:\nreplay %+v\ndirect %+v", w.Name, v, cfg.Name, got, want)
 				}
-				if i == 0 {
-					// The recording run's own Result is the direct result
-					// for the recording configuration.
-					recRes.Pass = nil
-					if *recRes != *want {
-						t.Errorf("%s/%s: Record result differs from Run on %s", w.Name, v, cfg.Name)
-					}
-				}
 			}
 		}
 	}
 }
 
-// TestRecordMachineIndependentAcrossUarch: recording the same cell on
-// different Table 1 machines yields byte-identical traces.
+// recordImage records the cell and predecodes its trace.
+func recordImage(t *testing.T, w *workloads.Workload, v Variant, o Options) *interp.Image {
+	t.Helper()
+	tr, _, err := RecordTrace(w, v, o)
+	if err != nil {
+		t.Fatalf("record %s/%s: %v", w.Name, v, err)
+	}
+	im, err := interp.NewImage(tr)
+	if err != nil {
+		t.Fatalf("image %s/%s: %v", w.Name, v, err)
+	}
+	return im
+}
+
+// TestRecordMachineIndependentAcrossUarch: Record on different Table 1
+// machines returns byte-identical traces.
 func TestRecordMachineIndependentAcrossUarch(t *testing.T) {
 	w := workloads.IS(1<<10, 1<<12)
+	cx := NewContext()
 	var traces []*trace.Trace
 	for _, cfg := range uarch.All() {
-		tr, _, err := Record(w, cfg, VariantAuto, Options{})
+		tr, _, err := cx.Record(w, cfg, VariantAuto, Options{})
 		if err != nil {
 			t.Fatalf("record on %s: %v", cfg.Name, err)
 		}
@@ -86,7 +98,7 @@ func TestRecordMachineIndependentAcrossUarch(t *testing.T) {
 func TestReplayTraceRoundTripsSerialization(t *testing.T) {
 	w := workloads.IS(1<<9, 1<<10)
 	cfg := uarch.A53()
-	tr, _, err := Record(w, cfg, VariantAuto, Options{})
+	tr, _, err := RecordTrace(w, VariantAuto, Options{})
 	if err != nil {
 		t.Fatalf("record: %v", err)
 	}
@@ -94,16 +106,21 @@ func TestReplayTraceRoundTripsSerialization(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	a, err := ReplayTrace(tr, cfg)
-	if err != nil {
-		t.Fatalf("replay: %v", err)
+	cx := NewContext()
+	var results []Result
+	for _, x := range []*trace.Trace{tr, decoded} {
+		im, err := interp.NewImage(x)
+		if err != nil {
+			t.Fatalf("image: %v", err)
+		}
+		r, err := cx.ReplayImage(im, cfg)
+		if err != nil {
+			t.Fatalf("replay: %v", err)
+		}
+		results = append(results, *r)
 	}
-	b, err := ReplayTrace(decoded, cfg)
-	if err != nil {
-		t.Fatalf("replay decoded: %v", err)
-	}
-	if *a != *b {
-		t.Errorf("serialized replay differs:\n%+v\n%+v", a, b)
+	if results[0] != results[1] {
+		t.Errorf("serialized replay differs:\n%+v\n%+v", results[0], results[1])
 	}
 }
 

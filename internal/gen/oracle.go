@@ -279,10 +279,9 @@ func (o *Oracle) Check(k *Kernel) *Failure {
 	return nil
 }
 
-// recordImage executes the auto-prefetched kernel once with the trace
-// recorder attached (the recording configuration is irrelevant —
-// traces are machine-independent) and predecodes the trace for
-// replay.
+// recordImage executes the auto-prefetched kernel once on a recorder
+// (traces are machine-independent, so no machine is involved) and
+// predecodes the trace for replay.
 func (o *Oracle) recordImage(k *Kernel) (*interp.Image, *Failure) {
 	opts := prefetch.Options{C: 64}
 	if o.PassTweak != nil {
@@ -293,10 +292,9 @@ func (o *Oracle) recordImage(k *Kernel) (*interp.Image, *Failure) {
 	if err := mod.Verify(); err != nil {
 		return nil, o.fail(k, "record", "auto", "pass broke module: %v", err)
 	}
-	mach := interp.New(mod, interpConfig())
-	mach.MaxInstrs = o.MaxInstrs
 	tw := trace.NewWriter()
-	mach.RecordTo(tw)
+	mach := interp.NewRecorder(mod, tw)
+	mach.MaxInstrs = o.MaxInstrs
 	sum, err := k.Exec(mach)
 	if err != nil {
 		return nil, o.fail(k, "record", "auto", "recording run failed: %v", err)

@@ -2,6 +2,7 @@ package interp
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"repro/internal/ir"
@@ -24,6 +25,15 @@ type Stats struct {
 // lowered to a flat micro-op stream on first execution and the decoded
 // form is cached on the machine (see predecode.go), so repeated runs
 // and hot loops pay no per-instruction IR traversal cost.
+//
+// A machine built by NewRecorder has no core: it interprets
+// functionally and appends every core-visible event to a trace instead
+// of timing it. Either way each SSA slot carries one uint64 timing
+// handle next to its value. 0 means ready at time zero. A timing
+// machine stores the readiness time's float64 bit pattern (non-negative
+// float64 bit patterns sort like their values, so the largest operand
+// handle is the latest readiness); a recorder stores the trace value
+// index plus one.
 type Machine struct {
 	Mod  *ir.Module
 	Core sim.CoreModel
@@ -35,22 +45,18 @@ type Machine struct {
 
 	stats Stats
 
-	// decoded caches the per-function lowering; phiV/phiR are scratch
+	// decoded caches the per-function lowering; phiV/phiH are scratch
 	// buffers for the parallel phi copy (phi evaluation never nests, so
 	// one machine-wide pair suffices even across calls).
 	decoded map[*ir.Function]*dfunc
 	phiV    []int64
-	phiR    []float64
+	phiH    []uint64
 
-	// Recording mode (RecordTo). rec receives one event per core call;
-	// phiS/depBuf are scratch for readiness-source propagation and
-	// dependency-set gathering; retSrc threads the returned value's
-	// source through OpCall like the (value, readiness) pair is
-	// threaded through call's return values.
+	// rec is a recorder's trace writer (nil on a timing machine);
+	// depBuf is scratch for the dependency set of the event being
+	// recorded, consumed synchronously by the writer.
 	rec    *trace.Writer
-	phiS   []int64
 	depBuf []int64
-	retSrc int64
 }
 
 // runs counts Machine.Run invocations process-wide — the
@@ -95,24 +101,25 @@ func NewOnCore(mod *ir.Module, core sim.CoreModel) *Machine {
 	return m
 }
 
-// RecordTo attaches a trace writer: every subsequent core-visible
-// event (ops, loads, stores, prefetches, branches, finish) and every
-// simulated-memory mutation is mirrored into w, producing a trace that
-// interp.Replay can retime on any machine configuration. Recording
-// changes nothing about the run itself — the same core calls happen
-// with the same arguments — it only tracks, per SSA slot, which trace
-// event produced the slot's readiness time, so events can carry
-// machine-independent dependency sets instead of timestamps. Pass nil
-// to detach.
-func (m *Machine) RecordTo(w *trace.Writer) {
-	m.rec = w
+// NewRecorder builds a machine with no core that records instead of
+// timing: every core-visible event (ops, loads, stores, prefetches,
+// branches, finish) and every simulated-memory mutation goes to w, with
+// machine-independent dependency sets in place of timestamps. The
+// resulting trace retimes on any configuration through NewImage and
+// Image.Replay. A recorder's Stats carry the functional counters and
+// zero cycles.
+func NewRecorder(mod *ir.Module, w *trace.Writer) *Machine {
+	m := &Machine{Mod: mod, Mem: NewMemory(), rec: w}
 	m.Mem.rec = w
+	return m
 }
 
 // Stats returns the accumulated statistics.
 func (m *Machine) Stats() Stats {
-	m.stats.Cycles = m.Core.Cycles()
-	m.stats.Instructions = m.Core.CoreStats().Instructions
+	if m.Core != nil {
+		m.stats.Cycles = m.Core.Cycles()
+		m.stats.Instructions = m.Core.CoreStats().Instructions
+	}
 	return m.stats
 }
 
@@ -133,127 +140,72 @@ func (m *Machine) Run(name string, args ...int64) (int64, error) {
 		m.MaxInstrs = 1 << 40
 	}
 	runs.Add(1)
-	ready := make([]float64, len(args))
-	var src []int64
-	if m.rec != nil {
-		src = make([]int64, len(args))
-		for i := range src {
-			src[i] = -1 // arguments are ready at time zero
-		}
-	}
-	v, _, err := m.call(m.decode(f), args, ready, src, 0)
+	v, _, err := m.call(m.decode(f), args, make([]uint64, len(args)), 0)
 	if err != nil {
 		return 0, err
 	}
-	m.Core.Finish()
 	if m.rec != nil {
 		m.rec.Finish()
+	} else {
+		m.Core.Finish()
 	}
 	return v, nil
 }
 
-// frame holds one activation: SSA value/readiness slots plus the
-// incoming arguments. Operands are pre-resolved slot references (see
+// frame holds one activation: SSA value/handle slots plus the incoming
+// arguments. Operands are pre-resolved slot references (see
 // predecode.go), so reading one is an array index, not an interface
 // type switch.
 type frame struct {
-	vals      []int64
-	ready     []float64
-	args      []int64
-	argsReady []float64
-
-	// src/argsSrc mirror ready/argsReady with the trace value-index
-	// that produced each readiness time (-1 = ready at time zero).
-	// Allocated only while recording.
-	src     []int64
-	argsSrc []int64
+	vals  []int64
+	h     []uint64
+	args  []int64
+	argsH []uint64
 }
 
-// get returns the runtime value and readiness time of an operand.
-func (fr *frame) get(o operand) (int64, float64) {
+// get returns the runtime value and timing handle of an operand.
+func (fr *frame) get(o operand) (int64, uint64) {
 	switch o.kind {
 	case opdConst:
 		return o.imm, 0
 	case opdParam:
-		return fr.args[o.idx], fr.argsReady[o.idx]
+		return fr.args[o.idx], fr.argsH[o.idx]
 	}
-	return fr.vals[o.idx], fr.ready[o.idx]
+	return fr.vals[o.idx], fr.h[o.idx]
 }
 
-// readyOf returns just the readiness time of an operand.
-func (fr *frame) readyOf(o operand) float64 {
+// handle returns just the timing handle of an operand.
+func (fr *frame) handle(o operand) uint64 {
 	switch o.kind {
 	case opdConst:
 		return 0
 	case opdParam:
-		return fr.argsReady[o.idx]
+		return fr.argsH[o.idx]
 	}
-	return fr.ready[o.idx]
+	return fr.h[o.idx]
 }
 
-// srcOf returns the trace value-index that produced the operand's
-// readiness (-1 = ready at time zero). Recording mode only.
-func (fr *frame) srcOf(o operand) int64 {
-	switch o.kind {
-	case opdConst:
-		return -1
-	case opdParam:
-		return fr.argsSrc[o.idx]
-	}
-	return fr.src[o.idx]
-}
-
-// recDeps gathers the dependency set of a uop: the sources of its
-// operands, in operand order, skipping time-zero ones — exactly the
-// inputs of the opsReady max the timing calls receive. The returned
-// slice is machine-owned scratch, consumed synchronously by the
-// writer.
-func (m *Machine) recDeps(fr *frame, u *uop) []int64 {
-	deps := m.depBuf[:0]
-	if u.xargs != nil {
-		for _, o := range u.xargs {
-			if s := fr.srcOf(o); s >= 0 {
-				deps = append(deps, s)
-			}
-		}
+// op books the single-cycle overhead op of a call or return whose
+// operands are ready at ready: on the core, or in the trace.
+func (m *Machine) op(ready float64) {
+	if m.rec != nil {
+		m.rec.Op(trace.Lat1, m.depBuf)
 	} else {
-		if u.nargs > 0 {
-			if s := fr.srcOf(u.a0); s >= 0 {
-				deps = append(deps, s)
-			}
-		}
-		if u.nargs > 1 {
-			if s := fr.srcOf(u.a1); s >= 0 {
-				deps = append(deps, s)
-			}
-		}
-		if u.nargs > 2 {
-			if s := fr.srcOf(u.a2); s >= 0 {
-				deps = append(deps, s)
-			}
-		}
+		m.Core.Op(ready, 1)
 	}
-	m.depBuf = deps
-	return deps
 }
 
 // call executes one decoded function activation: the flat uop loop that
 // replaces per-instruction IR traversal.
-func (m *Machine) call(df *dfunc, args []int64, argsReady []float64, argsSrc []int64, depth int) (int64, float64, error) {
+func (m *Machine) call(df *dfunc, args []int64, argsH []uint64, depth int) (int64, uint64, error) {
 	if depth > maxCallDepth {
 		return 0, 0, fmt.Errorf("interp: call depth exceeded in %s", df.name)
 	}
 	fr := frame{
-		vals:      make([]int64, df.numVals),
-		ready:     make([]float64, df.numVals),
-		args:      args,
-		argsReady: argsReady,
-		argsSrc:   argsSrc,
-	}
-	if m.rec != nil {
-		// Slots default to source 0, but SSA def-before-use (ir.Verify)
-		// guarantees no slot is read before it is written, same as vals.
-		fr.src = make([]int64, df.numVals)
+		vals:  make([]int64, df.numVals),
+		h:     make([]uint64, df.numVals),
+		args:  args,
+		argsH: argsH,
 	}
 
 	bi, prev := int32(0), int32(-1)
@@ -269,10 +221,9 @@ blocks:
 			}
 			if cap(m.phiV) < n {
 				m.phiV = make([]int64, n)
-				m.phiR = make([]float64, n)
-				m.phiS = make([]int64, n)
+				m.phiH = make([]uint64, n)
 			}
-			tmpV, tmpR := m.phiV[:n], m.phiR[:n]
+			tmpV, tmpH := m.phiV[:n], m.phiH[:n]
 			for i := 0; i < n; i++ {
 				if row == nil || row[i].kind == opdMissing {
 					prevName := "<entry>"
@@ -281,22 +232,11 @@ blocks:
 					}
 					return 0, 0, fmt.Errorf("interp: phi %%%s has no edge from %s", b.phiNames[i], prevName)
 				}
-				tmpV[i], tmpR[i] = fr.get(row[i])
-			}
-			if m.rec != nil {
-				// Phis are parallel copies with no core call: propagate
-				// the readiness source alongside the readiness time.
-				tmpS := m.phiS[:n]
-				for i := 0; i < n; i++ {
-					tmpS[i] = fr.srcOf(row[i])
-				}
-				for i := 0; i < n; i++ {
-					fr.src[b.phiIDs[i]] = tmpS[i]
-				}
+				tmpV[i], tmpH[i] = fr.get(row[i])
 			}
 			for i := 0; i < n; i++ {
 				fr.vals[b.phiIDs[i]] = tmpV[i]
-				fr.ready[b.phiIDs[i]] = tmpR[i]
+				fr.h[b.phiIDs[i]] = tmpH[i]
 				m.stats.Executed++
 				m.stats.OpCounts[ir.OpPhi]++
 			}
@@ -310,29 +250,39 @@ blocks:
 			m.stats.Executed++
 			m.stats.OpCounts[u.op]++
 
-			// Latest readiness among the operands.
-			var opsReady float64
-			if u.xargs != nil {
-				for _, o := range u.xargs {
-					if r := fr.readyOf(o); r > opsReady {
-						opsReady = r
+			// Operand walk: a timing machine needs the latest handle (the
+			// latest readiness), a recorder the dependency set (the trace
+			// value index of every operand not ready at time zero).
+			var h uint64
+			if m.rec == nil {
+				if u.xargs != nil {
+					for _, o := range u.xargs {
+						h = max(h, fr.handle(o))
+					}
+				} else {
+					if u.nargs > 0 {
+						h = fr.handle(u.a0)
+					}
+					if u.nargs > 1 {
+						h = max(h, fr.handle(u.a1))
+					}
+					if u.nargs > 2 {
+						h = max(h, fr.handle(u.a2))
 					}
 				}
 			} else {
-				if u.nargs > 0 {
-					opsReady = fr.readyOf(u.a0)
+				ops := u.xargs
+				if ops == nil {
+					ops = []operand{u.a0, u.a1, u.a2}[:u.nargs]
 				}
-				if u.nargs > 1 {
-					if r := fr.readyOf(u.a1); r > opsReady {
-						opsReady = r
-					}
-				}
-				if u.nargs > 2 {
-					if r := fr.readyOf(u.a2); r > opsReady {
-						opsReady = r
+				m.depBuf = m.depBuf[:0]
+				for _, o := range ops {
+					if x := fr.handle(o); x != 0 {
+						m.depBuf = append(m.depBuf, int64(x-1))
 					}
 				}
 			}
+			ready := math.Float64frombits(h)
 
 			switch u.op {
 			case ir.OpAlloc:
@@ -343,10 +293,6 @@ blocks:
 					return 0, 0, aerr
 				}
 				fr.vals[u.id] = base
-				fr.ready[u.id] = m.Core.Op(opsReady, 1)
-				if m.rec != nil {
-					fr.src[u.id] = m.rec.Op(trace.Lat1, m.recDeps(&fr, u))
-				}
 
 			case ir.OpLoad:
 				addr, _ := fr.get(u.a0)
@@ -356,10 +302,12 @@ blocks:
 				}
 				m.stats.Loads++
 				fr.vals[u.id] = v
-				fr.ready[u.id] = m.Core.Load(int(u.id), addr, opsReady)
 				if m.rec != nil {
-					fr.src[u.id] = m.rec.Load(int(u.id), addr, m.recDeps(&fr, u))
+					fr.h[u.id] = uint64(m.rec.Load(int(u.id), addr, m.depBuf)) + 1
+				} else {
+					fr.h[u.id] = math.Float64bits(m.Core.Load(int(u.id), addr, ready))
 				}
+				continue
 
 			case ir.OpStore:
 				addr, _ := fr.get(u.a0)
@@ -368,29 +316,29 @@ blocks:
 					return 0, 0, serr
 				}
 				m.stats.Stores++
-				m.Core.Store(int(u.id), addr, opsReady)
 				if m.rec != nil {
-					m.rec.Store(int(u.id), addr, m.recDeps(&fr, u))
+					m.rec.Store(int(u.id), addr, m.depBuf)
+				} else {
+					m.Core.Store(int(u.id), addr, ready)
 				}
+				continue
 
 			case ir.OpPrefetch:
 				addr, _ := fr.get(u.a0)
 				m.stats.Prefetches++
 				valid := m.Mem.Valid(addr, 1)
-				m.Core.Prefetch(int(u.id), addr, opsReady, valid)
 				if m.rec != nil {
-					m.rec.Prefetch(int(u.id), addr, valid, m.recDeps(&fr, u))
+					m.rec.Prefetch(int(u.id), addr, valid, m.depBuf)
+				} else {
+					m.Core.Prefetch(int(u.id), addr, ready, valid)
 				}
+				continue
 
 			case ir.OpGEP:
 				base, _ := fr.get(u.a0)
 				idx, _ := fr.get(u.a1)
 				scale, _ := fr.get(u.a2)
 				fr.vals[u.id] = base + idx*scale
-				fr.ready[u.id] = m.Core.Op(opsReady, 1)
-				if m.rec != nil {
-					fr.src[u.id] = m.rec.Op(trace.Lat1, m.recDeps(&fr, u))
-				}
 
 			case ir.OpCmp:
 				a, _ := fr.get(u.a0)
@@ -399,10 +347,6 @@ blocks:
 					fr.vals[u.id] = 1
 				} else {
 					fr.vals[u.id] = 0
-				}
-				fr.ready[u.id] = m.Core.Op(opsReady, 1)
-				if m.rec != nil {
-					fr.src[u.id] = m.rec.Op(trace.Lat1, m.recDeps(&fr, u))
 				}
 
 			case ir.OpSelect:
@@ -413,10 +357,6 @@ blocks:
 					fr.vals[u.id] = a
 				} else {
 					fr.vals[u.id] = bv
-				}
-				fr.ready[u.id] = m.Core.Op(opsReady, 1)
-				if m.rec != nil {
-					fr.src[u.id] = m.rec.Op(trace.Lat1, m.recDeps(&fr, u))
 				}
 
 			case ir.OpCall:
@@ -429,59 +369,34 @@ blocks:
 				}
 				cdf := m.decode(callee)
 				cargs := make([]int64, len(u.xargs))
-				cready := make([]float64, len(u.xargs))
-				var csrc []int64
+				ch := make([]uint64, len(u.xargs))
 				for i, o := range u.xargs {
-					cargs[i], cready[i] = fr.get(o)
+					cargs[i], ch[i] = fr.get(o)
 				}
-				m.Core.Op(opsReady, 1) // call overhead
-				if m.rec != nil {
-					m.rec.Op(trace.Lat1, m.recDeps(&fr, u))
-					csrc = make([]int64, len(u.xargs))
-					for i, o := range u.xargs {
-						csrc[i] = fr.srcOf(o)
-					}
-				}
-				v, r, cerr := m.call(cdf, cargs, cready, csrc, depth+1)
+				m.op(ready) // call overhead
+				v, r, cerr := m.call(cdf, cargs, ch, depth+1)
 				if cerr != nil {
 					return 0, 0, cerr
 				}
 				fr.vals[u.id] = v
-				fr.ready[u.id] = r
-				if m.rec != nil {
-					fr.src[u.id] = m.retSrc
-				}
+				fr.h[u.id] = r
+				continue
 
-			case ir.OpBr:
-				m.Core.Branch(opsReady, false)
+			case ir.OpBr, ir.OpCBr:
+				cond := u.op == ir.OpCBr
 				if m.rec != nil {
-					m.rec.Branch(false, m.recDeps(&fr, u))
+					m.rec.Branch(cond, m.depBuf)
+				} else {
+					m.Core.Branch(ready, cond)
 				}
 				prev, bi = bi, u.tgt0
-				continue blocks
-
-			case ir.OpCBr:
-				c, _ := fr.get(u.a0)
-				m.Core.Branch(opsReady, true)
-				if m.rec != nil {
-					m.rec.Branch(true, m.recDeps(&fr, u))
-				}
-				if c != 0 {
-					prev, bi = bi, u.tgt0
-				} else {
-					prev, bi = bi, u.tgt1
+				if c, _ := fr.get(u.a0); cond && c == 0 {
+					bi = u.tgt1
 				}
 				continue blocks
 
 			case ir.OpRet:
-				m.Core.Op(opsReady, 1)
-				if m.rec != nil {
-					m.rec.Op(trace.Lat1, m.recDeps(&fr, u))
-					m.retSrc = -1
-					if u.nargs == 1 {
-						m.retSrc = fr.srcOf(u.a0)
-					}
-				}
+				m.op(ready)
 				if u.nargs == 1 {
 					v, r := fr.get(u.a0)
 					return v, r, nil
@@ -489,7 +404,7 @@ blocks:
 				return 0, 0, nil
 
 			default:
-				// Binary arithmetic; latency was resolved at decode time.
+				// Binary arithmetic.
 				a, _ := fr.get(u.a0)
 				bv, _ := fr.get(u.a1)
 				var v int64
@@ -534,20 +449,15 @@ blocks:
 					return 0, 0, fmt.Errorf("interp: unimplemented opcode %s", u.op)
 				}
 				fr.vals[u.id] = v
-				fr.ready[u.id] = m.Core.Op(opsReady, u.lat)
-				if m.rec != nil {
-					// Record the latency class, not u.lat: multiply and
-					// divide latencies are machine configuration, which
-					// must not leak into the (machine-independent) trace.
-					class := trace.Lat1
-					switch u.op {
-					case ir.OpMul:
-						class = trace.LatMul
-					case ir.OpDiv, ir.OpRem:
-						class = trace.LatDiv
-					}
-					fr.src[u.id] = m.rec.Op(class, m.recDeps(&fr, u))
-				}
+			}
+
+			// The uop is an ALU op that produced a value (the other kinds
+			// continue or return above); its latency and latency class
+			// were resolved at decode time.
+			if m.rec != nil {
+				fr.h[u.id] = uint64(m.rec.Op(u.class, m.depBuf)) + 1
+			} else {
+				fr.h[u.id] = math.Float64bits(m.Core.Op(ready, int64(u.lat)))
 			}
 		}
 		return 0, 0, fmt.Errorf("interp: block %s fell through without terminator", b.name)

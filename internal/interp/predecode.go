@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/ir"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // Pre-decoding lowers an ir.Function into a flat micro-op stream once
@@ -40,7 +41,8 @@ type uop struct {
 	id    int32 // destination slot (the instruction's SSA ID)
 	tgt0  int32 // branch targets as block indices
 	tgt1  int32
-	lat   int64 // ALU latency, resolved at decode time
+	lat   int32          // ALU latency, resolved at decode time
+	class trace.LatClass // ALU latency class, which a recorder writes instead
 
 	a0, a1, a2 operand
 	xargs      []operand // OpCall argument list (nil otherwise)
@@ -76,7 +78,11 @@ func (m *Machine) decode(f *ir.Function) *dfunc {
 	if df, ok := m.decoded[f]; ok && df.numVals == f.NumInstrs() {
 		return df
 	}
-	df := decodeFunc(f, m.Core.Config())
+	cfg := &sim.Config{} // a recorder times nothing: latencies stay 1
+	if m.Core != nil {
+		cfg = m.Core.Config()
+	}
+	df := decodeFunc(f, cfg)
 	if m.decoded == nil {
 		m.decoded = make(map[*ir.Function]*dfunc)
 	}
@@ -155,9 +161,9 @@ func decodeInstr(in *ir.Instr, blkIdx map[*ir.Block]int32, cfg *sim.Config) uop 
 	case ir.OpStore:
 		u.typ = ir.StoreType(in)
 	case ir.OpMul:
-		u.lat = cfg.MulLatency
+		u.class, u.lat = trace.LatMul, int32(cfg.MulLatency)
 	case ir.OpDiv, ir.OpRem:
-		u.lat = cfg.DivLatency
+		u.class, u.lat = trace.LatDiv, int32(cfg.DivLatency)
 	case ir.OpCall:
 		u.callee = in.Callee
 	case ir.OpBr:

@@ -98,10 +98,10 @@ func (im *Image) Trace() *trace.Trace { return im.t }
 // of live interpretation: the machine-retiming half of the record/replay
 // split. The core is reset to a cold state first (mirroring NewOnCore),
 // then each trace event issues the same sim.Core call, with the same
-// arguments, that the recording run issued — readiness times are
+// arguments, that a timing machine issues for it — readiness times are
 // recomputed as the max completion time of each event's dependency set,
-// which is exactly the computation the interpreter performs over its
-// SSA readiness slots. The resulting statistics are byte-for-byte
+// which is exactly the computation a timing machine performs over its
+// SSA timing handles. The resulting statistics are byte-for-byte
 // identical to a direct run of the same kernel on the same
 // configuration (pinned by cmd/golden's direct-vs-replay diff and the
 // gen.Oracle replay stage).
@@ -110,7 +110,7 @@ func (im *Image) Trace() *trace.Trace { return im.t }
 // values (hwpf.PeekSetter — the IMP model), a shadow replica of
 // simulated memory is rebuilt from the trace's Alloc/Poke events and
 // installed as the peek hook; allocation addresses are deterministic,
-// so the replica reproduces the recording run's address space exactly.
+// so the replica reproduces the recorded run's address space exactly.
 // Stream-only models skip the replica, and with it most of the
 // replay-side memory cost.
 //
@@ -192,17 +192,6 @@ func (im *Image) Replay(c sim.CoreModel) (Stats, error) {
 	}
 	copy(st.OpCounts[:], t.Summary.OpCounts)
 	return st, nil
-}
-
-// Replay is the one-shot form: decode the trace and retime it on c.
-// Callers replaying one trace on many configurations should build the
-// Image once with NewImage and call its Replay per configuration.
-func Replay(t *trace.Trace, c sim.CoreModel) (Stats, error) {
-	im, err := NewImage(t)
-	if err != nil {
-		return Stats{}, err
-	}
-	return im.Replay(c)
 }
 
 // pokeType maps a poke width back to the IR type Memory.Store expects.

@@ -57,8 +57,7 @@ func BenchmarkGetHit(b *testing.B) {
 	}
 }
 
-// BenchmarkPut measures persisting one result (object write + index
-// flush).
+// BenchmarkPut measures persisting one result (atomic object write).
 func BenchmarkPut(b *testing.B) {
 	s, err := Open(b.TempDir())
 	if err != nil {

@@ -8,16 +8,10 @@
 // Layout under the store directory:
 //
 //	objects/<k1k2>/<key>.json   one result per request, named by key
-//	index.jsonl                 append-only catalogue of the objects
 //
-// The object files are the source of truth: Get never consults the
-// index, so a crash between an object write and an index append loses
-// nothing but a catalogue line. Object writes are atomic
-// (temp file + rename), which makes concurrent writers and interrupted
-// sweeps safe — a partially written entry is never visible under its
-// final name. The index is one JSON line per Put (O(1) per cell,
-// duplicates last-wins, torn tail lines skipped on load), so large
-// sweeps never rewrite a growing file.
+// Object writes are atomic (temp file + rename), which makes
+// concurrent writers and interrupted sweeps safe — a partially written
+// entry is never visible under its final name.
 //
 // Keys are SHA-256 over a canonical JSON document containing the store
 // format version, a simulator-version salt (sim.StatsVersion), the
@@ -30,7 +24,6 @@
 package store
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -70,10 +63,6 @@ type Store struct {
 	// independent of salt, so trace and result invalidation decouple
 	// (see trace.go); tests override it via OpenTraceSalted.
 	traceSalt string
-
-	// mu serialises appends to index.jsonl (and Index loads against
-	// them).
-	mu sync.Mutex
 
 	// peer, when non-nil, is the HTTP store-peer this store reads
 	// through and replicates to (see peer.go). Set once via SetPeer
@@ -230,24 +219,6 @@ type object struct {
 	Result   resultData
 }
 
-// IndexEntry is the payload of one catalogue line of index.jsonl.
-type IndexEntry struct {
-	Workload string
-	Params   string
-	System   string
-	Variant  string
-	Options  core.Options
-	Salt     string
-}
-
-// indexLine is the index.jsonl per-line schema.
-type indexLine struct {
-	Key   string
-	Entry IndexEntry
-}
-
-func (s *Store) indexPath() string { return filepath.Join(s.dir, "index.jsonl") }
-
 // objectPath shards objects by the first key byte, keeping directory
 // sizes sane for large sweeps.
 func (s *Store) objectPath(key string) string {
@@ -320,13 +291,9 @@ func decodeObject(data []byte, key string) (*object, bool) {
 	return &o, true
 }
 
-// writeObject atomically writes pre-validated object bytes and indexes
-// them; failures are swallowed (persistence is best-effort).
+// writeObject atomically writes object bytes the caller has validated
+// (decodeObject); failures are swallowed (persistence is best-effort).
 func (s *Store) writeObject(key string, data []byte) {
-	o, ok := decodeObject(data, key)
-	if !ok {
-		return
-	}
 	path := s.objectPath(key)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return
@@ -335,21 +302,10 @@ func (s *Store) writeObject(key string, data []byte) {
 		return
 	}
 	s.puts.Add(1)
-	line := indexLine{Key: key, Entry: IndexEntry{
-		Workload: o.Workload,
-		Params:   o.Params,
-		System:   o.System,
-		Variant:  o.Variant,
-		Options:  o.Options,
-		Salt:     o.Salt,
-	}}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.appendIndexLocked(line)
 }
 
-// Put persists the result under the request's key and records it in
-// the index. The object write is atomic, so concurrent Puts of the
+// Put persists the result under the request's key. The object write is
+// atomic, so concurrent Puts of the
 // same cell (identical content) and interrupted sweeps are both safe.
 // With a peer attached, the object is also queued for write-behind
 // replication (see peer.go); replication failures never fail the Put.
@@ -392,65 +348,8 @@ func (s *Store) Put(r sweep.Request, res *core.Result) error {
 		return fmt.Errorf("store: %w", err)
 	}
 	s.puts.Add(1)
-
-	line := indexLine{Key: key, Entry: IndexEntry{
-		Workload: o.Workload,
-		Params:   o.Params,
-		System:   o.System,
-		Variant:  o.Variant,
-		Options:  o.Options,
-		Salt:     o.Salt,
-	}}
-	s.mu.Lock()
-	ierr := s.appendIndexLocked(line)
-	s.mu.Unlock()
 	if s.peer != nil {
 		s.peer.enqueue(key, data)
-	}
-	return ierr
-}
-
-// Index loads the catalogue from disk: key -> coordinates. The index
-// is purely advisory and production paths never read it, so it is
-// parsed on demand rather than at Open. One JSON document per line; a
-// torn or corrupt line (crash mid-append) is skipped, duplicates are
-// last-wins — the objects stay authoritative either way.
-func (s *Store) Index() map[string]IndexEntry {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]IndexEntry)
-	data, err := os.ReadFile(s.indexPath())
-	if err != nil {
-		return out
-	}
-	for _, line := range bytes.Split(data, []byte("\n")) {
-		var l indexLine
-		if json.Unmarshal(line, &l) == nil && l.Key != "" {
-			out[l.Key] = l.Entry
-		}
-	}
-	return out
-}
-
-// appendIndexLocked appends one catalogue line; the caller holds mu.
-// O(1) per Put regardless of store size. Duplicate keys (re-puts,
-// cross-process writers) are harmless: loads are last-wins, and the
-// objects — the source of truth — never race.
-func (s *Store) appendIndexLocked(l indexLine) error {
-	data, err := json.Marshal(&l)
-	if err != nil {
-		return fmt.Errorf("store: marshal index line: %w", err)
-	}
-	f, err := os.OpenFile(s.indexPath(), os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	_, werr := f.Write(append(data, '\n'))
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		return fmt.Errorf("store: %w", werr)
 	}
 	return nil
 }

@@ -271,44 +271,6 @@ func TestCorruptObjectIsMiss(t *testing.T) {
 	}
 }
 
-// TestIndexCatalogue: puts land in index.json and survive reopening.
-func TestIndexCatalogue(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := sweep.Request{
-		Workload: workloads.Tiny()[0],
-		System:   sim.DefaultConfig(),
-		Variant:  core.VariantPlain,
-	}
-	res, err := core.Run(req.Workload, req.System, req.Variant, req.Options)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put(req, res); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "index.jsonl")); err != nil {
-		t.Fatalf("index.jsonl missing: %v", err)
-	}
-
-	reopened, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx := reopened.Index()
-	e, ok := idx[s.Key(req)]
-	if !ok {
-		t.Fatalf("reopened index lacks entry; have %d entries", len(idx))
-	}
-	if e.Workload != req.Workload.Name || e.Params != req.Workload.Params ||
-		e.System != req.System.Name || e.Variant != string(req.Variant) {
-		t.Errorf("index entry mismatch: %+v", e)
-	}
-}
-
 // TestResumedSweep: interrupting a grid mid-way (simulated by caching
 // only a prefix of the cells) still yields a full, bit-identical
 // result set on the next run, computing only the missing cells.

@@ -102,9 +102,7 @@ func (s *Store) GetTrace(r sweep.Request) (*trace.Trace, bool) {
 }
 
 // PutTrace persists the trace under the request's trace key. Atomic
-// like result Puts; not catalogued in index.jsonl, which is a result
-// index (traces are derived artifacts, re-recordable from the request
-// alone).
+// like result Puts.
 func (s *Store) PutTrace(r sweep.Request, t *trace.Trace) error {
 	path := s.tracePath(s.TraceKey(r))
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {

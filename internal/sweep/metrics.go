@@ -3,10 +3,9 @@ package sweep
 import "repro/internal/obs"
 
 // Metrics holds the engine's instruments: how each cell was served
-// (store hit, direct simulation, a replay group's recording run, or a
-// trace replay) and per-phase execution-latency histograms — the
-// interp-vs-sim split of the record/replay architecture, measured per
-// cell. One Metrics registers once on a registry and may be shared by
+// (store hit, direct simulation, or a trace replay) and per-phase
+// execution-latency histograms — the interp-vs-sim split of the
+// record/replay architecture, measured per cell. One Metrics registers once on a registry and may be shared by
 // any number of Runners (all instruments are atomic).
 //
 // Observations wrap the simulator calls from outside — they read the
@@ -15,11 +14,10 @@ import "repro/internal/obs"
 type Metrics struct {
 	CellsCache    *obs.Counter // served by the result cache up front
 	CellsDirect   *obs.Counter // full direct simulations
-	CellsRecorded *obs.Counter // served by a group's recording run
 	CellsReplayed *obs.Counter // retimed from a trace image
 
 	DirectSeconds *obs.Histogram // full simulation (interp + timing)
-	RecordSeconds *obs.Histogram // recording interpretation of a group
+	RecordSeconds *obs.Histogram // recording and decoding a group's trace
 	ReplaySeconds *obs.Histogram // timing-only replay of one cell
 }
 
@@ -38,7 +36,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 	return &Metrics{
 		CellsCache:    cells("cache"),
 		CellsDirect:   cells("direct"),
-		CellsRecorded: cells("recorded"),
 		CellsReplayed: cells("replayed"),
 		DirectSeconds: seconds("direct"),
 		RecordSeconds: seconds("record"),

@@ -75,13 +75,9 @@ func TestMetricsAccounting(t *testing.T) {
 	if _, err := r.Execute(reqs); err != nil {
 		t.Fatal(err)
 	}
-	// Cold: each group records once (serving its first cell) and
-	// replays the rest.
-	if got := m.CellsRecorded.Value(); got != 2 {
-		t.Errorf("recorded = %d, want 2", got)
-	}
-	if got := m.CellsReplayed.Value(); got != 2 {
-		t.Errorf("replayed = %d, want 2", got)
+	// Cold: each group records once and replays every cell.
+	if got := m.CellsReplayed.Value(); got != 4 {
+		t.Errorf("replayed = %d, want 4", got)
 	}
 	if got := m.CellsCache.Value(); got != 0 {
 		t.Errorf("cache-served = %d, want 0 on the cold pass", got)
@@ -89,8 +85,8 @@ func TestMetricsAccounting(t *testing.T) {
 	if got := m.RecordSeconds.Count(); got != 2 {
 		t.Errorf("record observations = %d, want 2", got)
 	}
-	if got := m.ReplaySeconds.Count(); got != 2 {
-		t.Errorf("replay observations = %d, want 2", got)
+	if got := m.ReplaySeconds.Count(); got != 4 {
+		t.Errorf("replay observations = %d, want 4", got)
 	}
 
 	// Warm: every cell answers from the cache.
@@ -100,7 +96,7 @@ func TestMetricsAccounting(t *testing.T) {
 	if got := m.CellsCache.Value(); got != 4 {
 		t.Errorf("cache-served = %d after the warm pass, want 4", got)
 	}
-	if got := m.CellsRecorded.Value() + m.CellsReplayed.Value(); got != 4 {
+	if got := m.CellsReplayed.Value(); got != 4 {
 		t.Errorf("simulated total moved on the warm pass: %d", got)
 	}
 

@@ -147,10 +147,9 @@ type groupKey struct {
 // group is one replay group: the request indices (in request order)
 // sharing a functional key.
 type group struct {
-	idxs     []int
-	image    *interp.Image
-	err      error
-	recorded bool // idxs[0] was served by the recording run itself
+	idxs  []int
+	image *interp.Image
+	err   error
 }
 
 // Execute runs every request and returns the outcomes in request
@@ -161,10 +160,10 @@ type group struct {
 // simulation time; failed cells are never cached.
 //
 // Replay-mode misses run in two pooled phases after the direct pool:
-// one trace per group (recorded, or fetched from a TraceCache), then
-// every remaining cell of every group as a replay. A group whose
-// trace cannot be obtained fails all its cells with the recording
-// error. The result set is bit-identical for any worker count in both
+// one trace per group (recorded, or fetched from a TraceCache) decoded
+// once into an image, then every cell of every group as a replay. A
+// group whose trace cannot be obtained fails all its cells with the
+// recording error. The result set is bit-identical for any worker count in both
 // modes — and across modes, which cmd/golden enforces byte-for-byte.
 func (r Runner) Execute(reqs []Request) (*ResultSet, error) {
 	out := make([]Outcome, len(reqs))
@@ -219,9 +218,8 @@ func (r Runner) Execute(reqs []Request) (*ResultSet, error) {
 		progress()
 	})
 
-	// Replay phase 1: one trace per group. Recording is itself a full
-	// direct run, so its Result serves the group's first cell for free
-	// (with Pass nil, like every replay- or store-served result).
+	// Replay phase 1: one image per group. Recording only interprets;
+	// every cell, the first included, is timed in phase 2.
 	tc, _ := r.Cache.(TraceCache)
 	r.pool(len(groups), func(cx *core.Context, n int) {
 		g := groups[n]
@@ -237,7 +235,7 @@ func (r Runner) Execute(reqs []Request) (*ResultSet, error) {
 			}
 		}
 		start := time.Now()
-		t, res, err := cx.Record(req.Workload, req.System, req.Variant, req.Options)
+		t, _, err := core.RecordTrace(req.Workload, req.Variant, req.Options)
 		if err == nil {
 			g.image, err = interp.NewImage(t)
 		}
@@ -246,21 +244,15 @@ func (r Runner) Execute(reqs []Request) (*ResultSet, error) {
 			g.err = err
 			return
 		}
-		res.Pass = nil
-		out[g.idxs[0]] = Outcome{Request: req, Result: res}
-		g.recorded = true
-		m.CellsRecorded.Inc()
-		r.put(req, res, nil)
 		if tc != nil {
 			if perr := tc.PutTrace(req, t); perr != nil && r.OnPutError != nil {
 				r.OnPutError(req, perr)
 			}
 		}
-		progress()
 	})
 
-	// Replay phase 2: every remaining cell, retimed from its group's
-	// predecoded image (shared read-only across workers).
+	// Replay phase 2: every cell, retimed from its group's predecoded
+	// image (shared read-only across workers).
 	var cells, cellGroup []int
 	for gi, g := range groups {
 		if g.err != nil {
@@ -270,11 +262,7 @@ func (r Runner) Execute(reqs []Request) (*ResultSet, error) {
 			}
 			continue
 		}
-		idxs := g.idxs
-		if g.recorded {
-			idxs = idxs[1:]
-		}
-		for _, i := range idxs {
+		for _, i := range g.idxs {
 			cells = append(cells, i)
 			cellGroup = append(cellGroup, gi)
 		}

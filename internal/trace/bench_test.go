@@ -65,9 +65,8 @@ const benchN = 1 << 12
 func record(b *testing.B) *trace.Trace {
 	b.Helper()
 	mod := ir.MustParse(benchSrc)
-	mach := interp.New(mod, sim.DefaultConfig())
 	w := trace.NewWriter()
-	mach.RecordTo(w)
+	mach := interp.NewRecorder(mod, w)
 	sum, err := mach.Run("kernel", benchN)
 	if err != nil {
 		b.Fatalf("run: %v", err)
@@ -82,10 +81,10 @@ func record(b *testing.B) *trace.Trace {
 	})
 }
 
-// BenchmarkTraceRecord: one interpreted run with the recorder attached
-// plus sealing the trace — the amortized, once-per-(workload, variant)
-// cost. Compare against BenchmarkInterpIndirect (same kernel, same n,
-// no recorder) for the recording overhead.
+// BenchmarkTraceRecord: one interpreted run on a recorder plus sealing
+// the trace — the amortized, once-per-(workload, variant) cost.
+// Compare against BenchmarkInterpIndirect (same kernel, same n, timed
+// on a core) for the cost of recording instead of timing.
 func BenchmarkTraceRecord(b *testing.B) {
 	b.ReportAllocs()
 	var bytes int

@@ -9,11 +9,11 @@
 // A Trace captures the functional phase once, so the machine × hardware-
 // prefetcher axes of an experiment grid can be retimed by replaying the
 // event stream through the timing model without re-interpreting the
-// kernel (internal/interp.Replay).
+// kernel (internal/interp's Image.Replay).
 //
-// Machine independence is the load-bearing property: a trace recorded
-// under any sim.Config is byte-for-byte identical to one recorded under
-// any other. Two design points follow from it:
+// Machine independence is the load-bearing property: the recorder
+// (interp.NewRecorder) has no machine configuration to leak, so one
+// trace serves every machine. Two design points follow from it:
 //
 //   - Events carry *dependency sets* (indices of the value-producing
 //     events their operands came from), never readiness timestamps —

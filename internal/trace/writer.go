@@ -34,8 +34,8 @@ const (
 // magic opens every serialized trace.
 var magic = [8]byte{'S', 'W', 'P', 'F', 'T', 'R', 'C', '\n'}
 
-// Writer records an event stream. The interpreter's recording mode
-// (interp.Machine.RecordTo) calls one method per core-visible event and
+// Writer records an event stream. The interpreter's recorder
+// (interp.NewRecorder) calls one method per core-visible event and
 // per simulated-memory mutation; Close seals the stream into a Trace.
 //
 // Op and Load return the dense value index assigned to the event, which

@@ -10,11 +10,11 @@
 //	A53       Odroid C2, ARM Cortex-A53: in-order, 32KiB L1D / 1MiB L2,
 //	          DDR3.
 //
-// Because the simulated workloads are scaled down (see DESIGN.md),
-// capacity parameters are reduced relative to the real parts,
-// preserving the capacity relations the paper's analysis relies on
-// (which irregular datasets fit in which level, TLB reach vs. array
-// footprint). Outer levels scale by CacheScale; the L1 scales by only
+// Because the simulated workloads are scaled down (see
+// docs/experiments.md), capacity parameters are reduced relative to
+// the real parts, preserving the capacity relations the paper's
+// analysis relies on (which irregular datasets fit in which level, TLB
+// reach vs. array footprint). Outer levels scale by CacheScale; the L1 scales by only
 // L1Scale, because the paper's "c = 64 is near-optimal" result depends
 // on look-ahead-distance x lines-per-iteration staying well below L1
 // capacity, and the look-ahead constant is not scaled. Latencies,
@@ -56,7 +56,8 @@ func Haswell() *sim.Config {
 			{Name: "L2", Size: 256 << 10 / CacheScale, LineSize: 64, Assoc: 8, Latency: 12},
 			// The L3 is scaled slightly harder than the inner levels so
 			// that the scaled irregular datasets keep the same "misses
-			// the LLC" relation they have on the real part (DESIGN.md).
+			// the LLC" relation they have on the real part (see
+			// docs/experiments.md).
 			{Name: "L3", Size: 8 << 20 / (2 * CacheScale), LineSize: 64, Assoc: 16, Latency: 34},
 		},
 		DRAMLatency:   220,
