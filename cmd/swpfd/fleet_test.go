@@ -3,11 +3,13 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -468,5 +470,162 @@ func TestLeaseExpiryOverHTTP(t *testing.T) {
 	// completion is still accepted, so the job finishes either way).
 	if fs.Queue.Requeued < int64(cells) {
 		t.Errorf("requeued = %d, want >= %d", fs.Queue.Requeued, cells)
+	}
+}
+
+// TestLeaseLongPoll: with wait_ms, a lease request on an empty queue
+// parks and returns a lease as soon as a sweep arrives; with nothing
+// submitted it answers 204 only after the whole wait, capped at
+// leaseWait.
+func TestLeaseLongPoll(t *testing.T) {
+	ts := coordinatorOnly(t, config{})
+
+	type reply struct {
+		code    int
+		body    []byte
+		elapsed time.Duration
+	}
+	longPoll := func(body string) <-chan reply {
+		ch := make(chan reply, 1)
+		go func() {
+			start := time.Now()
+			resp, err := http.Post(ts.URL+"/fleet/lease", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				ch <- reply{}
+				return
+			}
+			defer resp.Body.Close()
+			var buf bytes.Buffer
+			buf.ReadFrom(resp.Body)
+			ch <- reply{resp.StatusCode, buf.Bytes(), time.Since(start)}
+		}()
+		return ch
+	}
+
+	// Nothing submitted: 204 after the full wait, and a wait beyond
+	// the cap is held for the cap.
+	r := <-longPoll(`{"worker":"w","wait_ms":200}`)
+	if r.code != http.StatusNoContent || r.elapsed < 200*time.Millisecond {
+		t.Errorf("empty 200 ms long poll = %d after %v, want 204 after >= 200ms", r.code, r.elapsed)
+	}
+	r = <-longPoll(`{"worker":"w","wait_ms":60000}`)
+	if r.code != http.StatusNoContent || r.elapsed < leaseWait || r.elapsed > 30*time.Second {
+		t.Errorf("empty 60 s long poll = %d after %v, want 204 after the %v cap", r.code, r.elapsed, leaseWait)
+	}
+
+	// A submission during the wait is leased at once.
+	ch := longPoll(`{"worker":"w","max":99,"wait_ms":60000}`)
+	time.Sleep(50 * time.Millisecond)
+	_, cells := submit(t, ts, tinySpec)
+	r = <-ch
+	if r.code != http.StatusOK {
+		t.Fatalf("long poll with a submission = %d: %s", r.code, r.body)
+	}
+	if r.elapsed > leaseWait/2 {
+		t.Errorf("long poll took %v to see the submission, want well under the %v cap", r.elapsed, leaseWait)
+	}
+	var l fleet.Lease
+	if err := json.Unmarshal(r.body, &l); err != nil {
+		t.Fatal(err)
+	}
+	if len(l.Cells) != cells {
+		t.Errorf("long poll leased %d cells, want %d", len(l.Cells), cells)
+	}
+}
+
+// statusRecorder remembers the status code a handler wrote.
+type statusRecorder struct {
+	http.ResponseWriter
+	code int
+}
+
+func (r *statusRecorder) WriteHeader(code int) {
+	r.code = code
+	r.ResponseWriter.WriteHeader(code)
+}
+
+// TestWorkerLeaseLoops runs the real worker loops (jobs: 2, one cell
+// per lease) against a coordinator that holds every completion until
+// two leases have been handed out. Only a worker with two loops can
+// get there — a single loop blocks in its first completion — so the
+// test proves two leases outstanding at once without timing. The grid
+// must still drain byte-identical to a direct run, one store Put per
+// cell, under the one worker name.
+func TestWorkerLeaseLoops(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := newServerCfg(config{cache: st, objects: st, localWorkers: -1, stderr: &bytes.Buffer{}})
+	var leased atomic.Int32
+	twoLeased := make(chan struct{})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/fleet/complete":
+			select {
+			case <-twoLeased:
+			case <-time.After(30 * time.Second):
+				t.Error("completion held 30 s: the worker never had two leases out at once")
+			}
+		case "/fleet/lease":
+			rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
+			h.ServeHTTP(rec, r)
+			if rec.code == http.StatusOK && leased.Add(1) == 2 {
+				close(twoLeased)
+			}
+			return
+		}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+
+	id, cells := submit(t, ts, tinySpec)
+	w := &fleetWorker{
+		coordinator: ts.URL,
+		name:        "loops",
+		jobs:        2,
+		batch:       1,
+		client:      &http.Client{},
+		log:         obs.Discard(),
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	stopped := make(chan struct{})
+	go func() {
+		w.run(ctx)
+		close(stopped)
+	}()
+	final := poll(t, ts, id)
+	cancel()
+	<-stopped
+	if final.State != stateDone || final.Done != cells {
+		t.Fatalf("job after worker loops: %+v", final)
+	}
+
+	var spec SweepSpec
+	if err := json.Unmarshal([]byte(tinySpec), &spec); err != nil {
+		t.Fatal(err)
+	}
+	grid, err := spec.ToGrid()
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := sweep.Runner{Jobs: 2}.Execute(grid.Expand())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := direct.WriteJSON(&want); err != nil {
+		t.Fatal(err)
+	}
+	if _, got := fetch(t, ts, "/results?id="+id); !bytes.Equal(got, want.Bytes()) {
+		t.Errorf("worker-loop JSON differs from direct run:\n%s\nvs\n%s", got, want.Bytes())
+	}
+	if puts := st.Stats().Puts; puts != int64(cells) {
+		t.Errorf("store saw %d puts for %d cells", puts, cells)
+	}
+	var fs FleetStatus
+	if _, body := fetch(t, ts, "/fleet"); json.Unmarshal(body, &fs) != nil || len(fs.Queue.Workers) != 1 || fs.Queue.Workers[0].Name != "loops" {
+		t.Errorf("/fleet workers = %+v, want the one worker name", fs.Queue.Workers)
 	}
 }

@@ -52,7 +52,8 @@
 //
 // Flags: -addr (default 127.0.0.1:8077 — the API is unauthenticated,
 // so non-loopback binds are an explicit choice; :0 picks an ephemeral
-// port and prints it), -jobs (worker pool size per sweep),
+// port and prints it), -jobs (worker pool size per sweep; in worker
+// mode also the number of lease loops),
 // -store/-no-store (result cache; default $SWPF_STORE), -peer (store
 // peer URL; default $SWPF_PEER), -local-workers, -lease-ttl,
 // -lease-batch, -max-pending, and -worker URL (run as a fleet worker
@@ -60,6 +61,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -104,7 +106,7 @@ func run(argv []string, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	var (
 		addr    = fs.String("addr", "127.0.0.1:8077", "listen address (loopback by default; the API is unauthenticated)")
-		jobs    = fs.Int("jobs", 0, "worker goroutines per sweep (0 = all CPUs)")
+		jobs    = fs.Int("jobs", 0, "worker goroutines per sweep, and lease loops in -worker mode (0 = all CPUs)")
 		worker  = fs.String("worker", "", "run as a fleet worker pulling cells from this coordinator URL instead of serving")
 		name    = fs.String("name", "", "worker name reported to the coordinator (default swpfd-<pid>)")
 		peer    = fs.String("peer", "", "store-peer URL for read-through/write-behind replication (default $"+store.PeerEnvVar+")")
@@ -790,14 +792,21 @@ func (s *server) handleResults(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// LeaseRequest is the POST /fleet/lease body.
+// LeaseRequest is the POST /fleet/lease body. WaitMS > 0 long-polls:
+// on an empty queue the coordinator holds the request until a cell
+// can be leased, for at most min(WaitMS, leaseWait).
 type LeaseRequest struct {
 	Worker string `json:"worker"`
 	Max    int    `json:"max"`
+	WaitMS int64  `json:"wait_ms,omitempty"`
 }
 
+// leaseWait caps a long-polled lease; it is also the wait every
+// in-process and remote worker loop asks for.
+const leaseWait = time.Second
+
 // handleLease hands the worker a batch of cells, or 204 when nothing
-// is pending (the worker polls again).
+// is pending: at once without wait_ms, after the whole wait with it.
 func (s *server) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -811,7 +820,13 @@ func (s *server) handleLease(w http.ResponseWriter, r *http.Request) {
 	if req.Max <= 0 {
 		req.Max = s.cfg.leaseBatch
 	}
-	l := s.queue.Lease(req.Worker, req.Max)
+	var l *fleet.Lease
+	if req.WaitMS > 0 {
+		wait := time.Duration(min(req.WaitMS, leaseWait.Milliseconds())) * time.Millisecond
+		l = s.queue.LeaseWait(r.Context(), req.Worker, req.Max, wait)
+	} else {
+		l = s.queue.Lease(req.Worker, req.Max)
+	}
 	if l == nil {
 		w.WriteHeader(http.StatusNoContent)
 		return
@@ -902,25 +917,12 @@ func (s *server) localWorker(name string) {
 	cache := s.workerCache()
 	log := s.cfg.logger.With("worker", name)
 	for {
-		l := s.queue.Lease(name, s.cfg.leaseBatch)
+		l := s.queue.LeaseWait(context.Background(), name, s.cfg.leaseBatch, leaseWait)
 		if l == nil {
-			s.queue.WaitWork(time.Second)
 			continue
 		}
 		log.Debug("lease", "lease", l.ID, "cells", len(l.Cells))
-		stop := make(chan struct{})
-		go func() {
-			t := time.NewTicker(heartbeatEvery(l.TTL()))
-			defer t.Stop()
-			for {
-				select {
-				case <-stop:
-					return
-				case <-t.C:
-					s.queue.Heartbeat(l.ID, name)
-				}
-			}
-		}()
+		stop := keepAlive(l.TTL(), func() bool { return s.queue.Heartbeat(l.ID, name) })
 		runner := sweep.Runner{
 			Jobs:       s.cfg.jobs,
 			Cache:      cache,
@@ -929,7 +931,7 @@ func (s *server) localWorker(name string) {
 		}
 		start := time.Now()
 		set, _ := runner.Execute(l.Requests())
-		close(stop)
+		stop()
 		accepted, dropped := s.queue.Complete(l.ID, name, cellResults(l, set))
 		log.Debug("complete",
 			"lease", l.ID, "accepted", accepted, "dropped", dropped,
@@ -937,13 +939,28 @@ func (s *server) localWorker(name string) {
 	}
 }
 
-// heartbeatEvery picks a heartbeat interval safely inside a lease TTL.
-func heartbeatEvery(ttl time.Duration) time.Duration {
-	every := ttl / 3
-	if every < 10*time.Millisecond {
-		every = 10 * time.Millisecond
-	}
-	return every
+// keepAlive calls beat at an interval safely inside a lease TTL until
+// stop is called or beat reports the lease gone. stop does not wait for
+// a beat in flight; a late beat finds the lease completed and is
+// harmless.
+func keepAlive(ttl time.Duration, beat func() bool) (stop func()) {
+	every := max(ttl/3, 10*time.Millisecond)
+	done := make(chan struct{})
+	go func() {
+		t := time.NewTicker(every)
+		defer t.Stop()
+		for {
+			select {
+			case <-done:
+				return
+			case <-t.C:
+				if !beat() {
+					return
+				}
+			}
+		}
+	}()
+	return func() { close(done) }
 }
 
 // cellResults converts an executed lease into a completion report;

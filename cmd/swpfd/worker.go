@@ -16,13 +16,16 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
 	"os"
+	"runtime"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/fleet"
@@ -30,12 +33,9 @@ import (
 	"repro/internal/sweep"
 )
 
-// workerPoll is how often an idle worker asks for work; workerBackoffMax
-// caps the reconnect backoff after coordinator errors.
-const (
-	workerPoll       = 200 * time.Millisecond
-	workerBackoffMax = 5 * time.Second
-)
+// workerBackoffMax caps the reconnect backoff after coordinator
+// errors.
+const workerBackoffMax = 5 * time.Second
 
 // resolveWorkload is the fleet.WorkloadResolver backed by the daemon's
 // memoized pools — the same pools submission validation uses, so
@@ -53,9 +53,8 @@ func resolveWorkload(quality, name string) (*sweep.Request, error) {
 	return nil, fmt.Errorf("unknown workload %q in the %s pool", name, quality)
 }
 
-// runWorker is the worker-mode main loop: poll the coordinator for
-// leases until killed. Coordinator outages are retried with capped
-// exponential backoff — a worker outlives coordinator restarts.
+// runWorker is the worker-mode main: it runs the worker's lease loops
+// until killed.
 func runWorker(coordinator, name string, jobs, batch int, log *slog.Logger) error {
 	coordinator = strings.TrimRight(coordinator, "/")
 	if !strings.Contains(coordinator, "://") {
@@ -72,27 +71,53 @@ func runWorker(coordinator, name string, jobs, batch int, log *slog.Logger) erro
 		client:      &http.Client{Timeout: 30 * time.Second},
 		log:         log.With("worker", name),
 	}
-	w.log.Info("pulling", "coordinator", coordinator)
-	backoff := 100 * time.Millisecond
-	for {
-		l, rid, err := w.lease()
-		if err != nil {
-			w.log.Warn("lease failed", "err", err, "backoff", backoff.String())
-			time.Sleep(backoff)
-			if backoff *= 2; backoff > workerBackoffMax {
-				backoff = workerBackoffMax
-			}
-			continue
-		}
-		backoff = 100 * time.Millisecond
-		if l == nil {
-			time.Sleep(workerPoll)
-			continue
-		}
-		if err := w.execute(l, rid); err != nil {
-			w.log.Warn("execute failed", "rid", rid, "err", err)
-		}
+	w.run(context.Background())
+	return nil
+}
+
+// run drives jobs lease loops (0 = GOMAXPROCS) under the one worker
+// name until ctx is done. Each loop runs its leases on a jobs-wide
+// sweep.Runner, so one loop's round trips and slowest cell overlap
+// another's simulation while a lone replay group still spreads over
+// every CPU. Each lease request long-polls, so an idle worker starts
+// on a submission at once; coordinator outages are retried with capped
+// exponential backoff — a worker outlives coordinator restarts.
+func (w *fleetWorker) run(ctx context.Context) {
+	loops := w.jobs
+	if loops <= 0 {
+		loops = runtime.GOMAXPROCS(0)
 	}
+	w.log.Info("pulling", "coordinator", w.coordinator, "loops", loops)
+	var wg sync.WaitGroup
+	for range loops {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			backoff := 100 * time.Millisecond
+			for ctx.Err() == nil {
+				start := time.Now()
+				l, rid, err := w.lease()
+				if err != nil {
+					w.log.Warn("lease failed", "err", err, "backoff", backoff.String())
+					time.Sleep(backoff)
+					backoff = min(2*backoff, workerBackoffMax)
+					continue
+				}
+				backoff = 100 * time.Millisecond
+				if l == nil {
+					// A 204 before the wait is up comes from a
+					// coordinator that ignores wait_ms: poll at the
+					// wait's pace instead of spinning.
+					time.Sleep(leaseWait - time.Since(start))
+					continue
+				}
+				if err := w.execute(l, rid); err != nil {
+					w.log.Warn("execute failed", "rid", rid, "err", err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 type fleetWorker struct {
@@ -139,13 +164,14 @@ func (w *fleetWorker) post(path, rid string, in, out any) (int, string, error) {
 	return resp.StatusCode, respRID, json.NewDecoder(resp.Body).Decode(out)
 }
 
-// lease asks for a batch; a nil lease means nothing pending. The
-// returned rid is the coordinator's ID for the lease request — the
-// worker logs the batch's execution under it and sends it back on
-// complete, tying both sides of the cell lifecycle together.
+// lease long-polls for a batch; a nil lease means nothing became
+// pending within the wait. The returned rid is the coordinator's ID
+// for the lease request — the worker logs the batch's execution under
+// it and sends it back on complete, tying both sides of the cell
+// lifecycle together.
 func (w *fleetWorker) lease() (*fleet.Lease, string, error) {
 	var l fleet.Lease
-	code, rid, err := w.post("/fleet/lease", "", LeaseRequest{Worker: w.name, Max: w.batch}, &l)
+	code, rid, err := w.post("/fleet/lease", "", LeaseRequest{Worker: w.name, Max: w.batch, WaitMS: leaseWait.Milliseconds()}, &l)
 	if err != nil {
 		return nil, rid, err
 	}
@@ -162,29 +188,17 @@ func (w *fleetWorker) lease() (*fleet.Lease, string, error) {
 func (w *fleetWorker) execute(l *fleet.Lease, rid string) error {
 	log := w.log.With("rid", rid, "lease", l.ID)
 	log.Info("lease", "cells", len(l.Cells), "ttl", l.TTL().String())
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		t := time.NewTicker(heartbeatEvery(l.TTL()))
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				var hb struct {
-					OK bool `json:"ok"`
-				}
-				if _, _, err := w.post("/fleet/heartbeat", rid, HeartbeatRequest{Lease: l.ID, Worker: w.name}, &hb); err == nil && !hb.OK {
-					// Lease gone (expired and re-leased elsewhere): keep
-					// computing — the completion is reported anyway and
-					// the coordinator drops whatever the re-lease already
-					// answered.
-					return
-				}
-			}
+	stop := keepAlive(l.TTL(), func() bool {
+		var hb struct {
+			OK bool `json:"ok"`
 		}
-	}()
+		_, _, err := w.post("/fleet/heartbeat", rid, HeartbeatRequest{Lease: l.ID, Worker: w.name}, &hb)
+		// Lease gone (expired and re-leased elsewhere): stop beating but
+		// keep computing — the completion is reported anyway and the
+		// coordinator drops whatever the re-lease already answered.
+		return err != nil || hb.OK
+	})
+	defer stop()
 
 	results := make([]fleet.CellResult, len(l.Cells))
 	var reqs []sweep.Request

@@ -69,17 +69,27 @@ func TestFleetMetricsConsistency(t *testing.T) {
 		t.Errorf("completed = %d, want %d", fs.Queue.Completed, cells)
 	}
 	// The fleet protocol itself is instrumented: three workers polled
-	// /fleet/lease at least once each.
-	leases := 0.0
-	for _, s := range samples {
-		if s.Name != "swpf_http_requests_total" {
-			continue
-		}
-		for _, l := range s.Labels {
-			if l.Key == "route" && l.Value == "POST /fleet/lease" {
-				leases += s.Value
+	// /fleet/lease at least once each. A request is counted once it is
+	// answered, and an idle worker's long-polled lease is answered only
+	// when its 1 s wait runs out, so give the polls that time.
+	leaseRequests := func(samples []obs.Sample) float64 {
+		n := 0.0
+		for _, s := range samples {
+			if s.Name != "swpf_http_requests_total" {
+				continue
+			}
+			for _, l := range s.Labels {
+				if l.Key == "route" && l.Value == "POST /fleet/lease" {
+					n += s.Value
+				}
 			}
 		}
+		return n
+	}
+	leases := leaseRequests(samples)
+	for deadline := time.Now().Add(10 * time.Second); leases < 3 && time.Now().Before(deadline); {
+		time.Sleep(50 * time.Millisecond)
+		leases = leaseRequests(scrapeMetrics(t, f))
 	}
 	if leases < 3 {
 		t.Errorf("POST /fleet/lease requests = %v, want >= 3", leases)

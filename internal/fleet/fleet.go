@@ -42,6 +42,7 @@
 package fleet
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -688,28 +689,10 @@ func (q *Queue) removePendingLocked(c *cell) {
 	}
 }
 
-// notifyLocked wakes every WaitWork sleeper.
+// notifyLocked wakes every LeaseWait sleeper.
 func (q *Queue) notifyLocked() {
 	close(q.wake)
 	q.wake = make(chan struct{})
-}
-
-// WaitWork blocks until new work may be available or the timeout
-// elapses — the idle loop of an in-process worker.
-func (q *Queue) WaitWork(timeout time.Duration) {
-	q.mu.Lock()
-	if len(q.pending) > 0 {
-		q.mu.Unlock()
-		return
-	}
-	ch := q.wake
-	q.mu.Unlock()
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case <-ch:
-	case <-timer.C:
-	}
 }
 
 // Lease hands the worker a batch of up to max pending cells (highest
@@ -718,11 +701,41 @@ func (q *Queue) WaitWork(timeout time.Duration) {
 // so one worker records the group's trace and replays every cell of
 // it.
 func (q *Queue) Lease(worker string, max int) *Lease {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.leaseLocked(worker, max)
+}
+
+// LeaseWait is Lease as a long poll: on an empty queue it parks until
+// a submission or a requeue wakes it and leases then, returning nil
+// only once wait has passed with nothing to lease, or ctx is done.
+// Lazy expiry wakes no one: cells of a lease that expires during the
+// wait go to the next Lease call.
+func (q *Queue) LeaseWait(ctx context.Context, worker string, max int, wait time.Duration) *Lease {
+	timer := time.NewTimer(wait)
+	defer timer.Stop()
+	for {
+		q.mu.Lock()
+		l, wake := q.leaseLocked(worker, max), q.wake
+		q.mu.Unlock()
+		if l != nil {
+			return l
+		}
+		select {
+		case <-wake:
+		case <-timer.C:
+			return nil
+		case <-ctx.Done():
+			return nil
+		}
+	}
+}
+
+// leaseLocked is Lease with q.mu held.
+func (q *Queue) leaseLocked(worker string, max int) *Lease {
 	if max <= 0 {
 		max = 1
 	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	q.expireLocked()
 	q.workers[worker] = q.now()
 	if len(q.pending) == 0 {

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"sync"
@@ -249,6 +250,48 @@ func TestLeaseExpiryRequeues(t *testing.T) {
 		if set.Outcomes[i].Result == nil || set.Outcomes[i].Result.Checksum < 1100 {
 			t.Fatalf("outcome %d did not come from the live worker: %+v", i, set.Outcomes[i].Result)
 		}
+	}
+}
+
+// TestLeaseWait: a long-polled lease on an empty queue wakes on a
+// submission and on a requeue, and otherwise gives up only after the
+// whole wait — or as soon as its context is done.
+func TestLeaseWait(t *testing.T) {
+	q := New(Options{})
+	reqs, specs := tinyReqs(t, 1, core.ExecDirect)
+
+	start := time.Now()
+	if l := q.LeaseWait(context.Background(), "w", 64, 50*time.Millisecond); l != nil {
+		t.Fatalf("empty queue leased %+v", l)
+	}
+	if waited := time.Since(start); waited < 50*time.Millisecond {
+		t.Errorf("empty long poll gave up after %v, want the whole 50ms", waited)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	start = time.Now()
+	if l := q.LeaseWait(ctx, "w", 64, time.Minute); l != nil || time.Since(start) > 30*time.Second {
+		t.Errorf("cancelled long poll = %+v after %v, want nil at once", l, time.Since(start))
+	}
+
+	// A submission wakes the parked poll; a partial completion's
+	// requeue wakes the next one.
+	got := make(chan *Lease)
+	go func() { got <- q.LeaseWait(context.Background(), "w", 64, time.Minute) }()
+	time.Sleep(10 * time.Millisecond)
+	if _, err := q.Submit(reqs, specs, 0); err != nil {
+		t.Fatal(err)
+	}
+	l := <-got
+	if l == nil || len(l.Cells) != len(reqs) {
+		t.Fatalf("long poll after submit leased %+v, want %d cells", l, len(reqs))
+	}
+	go func() { got <- q.LeaseWait(context.Background(), "w2", 64, time.Minute) }()
+	time.Sleep(10 * time.Millisecond)
+	q.Complete(l.ID, "w", []CellResult{{Key: l.Cells[0].Key, Result: fakeResult(0)}})
+	if l2 := <-got; l2 == nil || len(l2.Cells) != len(reqs)-1 {
+		t.Fatalf("long poll after requeue leased %+v, want %d cells", l2, len(reqs)-1)
 	}
 }
 

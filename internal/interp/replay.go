@@ -28,10 +28,15 @@ type Image struct {
 	// configs) read them, and most events are not pokes.
 	pokeVal []int64
 
-	// Dependency sets, flattened: event i depends on the values produced
-	// by deps[depOff[i]:depOff[i+1]].
+	// Dependency sets, flattened and renumbered to readiness slots:
+	// event i waits on the slots deps[depOff[i]:depOff[i+1]], and the
+	// v-th value-producing event writes slot dst[v]. A slot is reused
+	// once its value's last read has passed, so Replay keeps one
+	// readiness time per live value — a handful — not one per value.
 	depOff []uint32
 	deps   []uint32
+	dst    []uint32
+	slots  int
 }
 
 // NewImage decodes a trace into its replayable form, validating the
@@ -88,7 +93,49 @@ func NewImage(t *trace.Trace) (*Image, error) {
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
+	im.assignSlots(int(t.NumValues))
 	return im, nil
+}
+
+// assignSlots renumbers the trace's values to reusable slots. Scanning
+// backward, a value's last read comes first: it takes a free slot,
+// which the value holds back to its producer, where the slot is freed
+// again. An event's reads are renumbered after its own value's slot is
+// freed, so a read may share that slot: replay reads an event's
+// dependencies before it writes the event's value. A value that is
+// never read is written to any slot free at its producer. The only
+// per-value memory is dst itself.
+func (im *Image) assignSlots(numValues int) {
+	dst := make([]uint32, numValues) // slot+1 while scanning; 0 = not yet live
+	var free []uint32
+	take := func() uint32 {
+		if n := len(free); n > 0 {
+			s := free[n-1]
+			free = free[:n-1]
+			return s + 1
+		}
+		im.slots++
+		return uint32(im.slots)
+	}
+	v := numValues
+	for i := len(im.kind) - 1; i >= 0; i-- {
+		if k := trace.Kind(im.kind[i]); k == trace.KindOp || k == trace.KindLoad {
+			v--
+			if dst[v] == 0 {
+				dst[v] = take()
+			}
+			dst[v]--
+			free = append(free, dst[v])
+		}
+		deps := im.deps[im.depOff[i]:im.depOff[i+1]]
+		for j, d := range deps {
+			if dst[d] == 0 {
+				dst[d] = take()
+			}
+			deps[j] = dst[d] - 1
+		}
+	}
+	im.dst = dst
 }
 
 // Trace returns the trace this image was decoded from.
@@ -137,12 +184,12 @@ func (im *Image) Replay(c sim.CoreModel) (Stats, error) {
 		divLat = 1
 	}
 
-	values := make([]float64, 0, t.NumValues)
-	nextPoke := 0
+	ready := make([]float64, im.slots)
+	nextPoke, nextValue := 0, 0
 	for i, kind := range im.kind {
 		var opsReady float64
-		for _, d := range im.deps[im.depOff[i]:im.depOff[i+1]] {
-			if v := values[d]; v > opsReady {
+		for _, s := range im.deps[im.depOff[i]:im.depOff[i+1]] {
+			if v := ready[s]; v > opsReady {
 				opsReady = v
 			}
 		}
@@ -155,9 +202,11 @@ func (im *Image) Replay(c sim.CoreModel) (Stats, error) {
 			case trace.LatDiv:
 				lat = divLat
 			}
-			values = append(values, c.Op(opsReady, lat))
+			ready[im.dst[nextValue]] = c.Op(opsReady, lat)
+			nextValue++
 		case trace.KindLoad:
-			values = append(values, c.Load(int(im.pc[i]), im.addr[i], opsReady))
+			ready[im.dst[nextValue]] = c.Load(int(im.pc[i]), im.addr[i], opsReady)
+			nextValue++
 		case trace.KindStore:
 			c.Store(int(im.pc[i]), im.addr[i], opsReady)
 		case trace.KindPrefetch:

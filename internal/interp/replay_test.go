@@ -212,3 +212,38 @@ func TestTimingHeapBoundedByFootprint(t *testing.T) {
 		t.Errorf("heap grows with run length: %d B at 10^4 iterations, %d B at 10^6", small, large)
 	}
 }
+
+// TestReplayHeapBoundedByFootprint: replay keeps one readiness time per
+// live value, so replaying a fixed-footprint kernel allocates the same
+// heap at 10^4 and at 10^6 iterations. A per-trace-value readiness
+// array grows 8 B per value (about 48 MB more here) and fails. The
+// 10^6-iteration trace and image take about 400 MB to build, so -short
+// compares against 10^5 iterations, where such an array still adds
+// about 5 MB.
+func TestReplayHeapBoundedByFootprint(t *testing.T) {
+	cfg := sim.DefaultConfig()
+	heap := func(n int64) uint64 {
+		tr, _ := recordKernel(t, fixedFootprintSrc, "kernel", n)
+		im, err := NewImage(tr)
+		if err != nil {
+			t.Fatalf("image %d: %v", n, err)
+		}
+		c := sim.NewCore(cfg)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := im.Replay(c); err != nil {
+			t.Fatalf("replay %d: %v", n, err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	long := int64(1e6)
+	if testing.Short() {
+		long = 1e5
+	}
+	small, large := heap(1e4), heap(long)
+	t.Logf("replay heap allocated: %d B at 10^4 iterations, %d B at %d", small, large, long)
+	if large > small+small/4 {
+		t.Errorf("replay heap grows with run length: %d B at 10^4 iterations, %d B at %d", small, large, long)
+	}
+}
