@@ -314,7 +314,7 @@ func TestEventsStream(t *testing.T) {
 	}
 }
 
-// TestFleetWorkerLoop drives the real worker-mode code (fleetWorker)
+// TestFleetWorkerLoop drives the real worker-mode code (httpWorker)
 // against a coordinator-only daemon over HTTP: lease, reconstruct from
 // wire specs, execute, complete — and the job's results must be
 // byte-identical to a direct run. This is the in-process twin of the
@@ -330,16 +330,9 @@ func TestFleetWorkerLoop(t *testing.T) {
 
 	// One manual worker pass: drain the queue through the HTTP fleet
 	// API using the same code `swpfd -worker` runs.
-	w := &fleetWorker{
-		coordinator: ts.URL,
-		name:        "test-worker",
-		jobs:        2,
-		batch:       3,
-		client:      &http.Client{},
-		log:         obs.Discard(),
-	}
+	w := httpWorker(ts.URL, "test-worker", 2, 3, obs.Discard())
 	for drained := false; !drained; {
-		l, rid, err := w.lease()
+		l, rid, err := w.coord.lease(context.Background(), w.name, w.batch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -445,8 +438,8 @@ func TestLeaseExpiryOverHTTP(t *testing.T) {
 	}
 	time.Sleep(60 * time.Millisecond)
 
-	w := &fleetWorker{coordinator: ts.URL, name: "w2", jobs: 1, batch: 99, client: &http.Client{}, log: obs.Discard()}
-	l2, rid, err := w.lease()
+	w := httpWorker(ts.URL, "w2", 1, 99, obs.Discard())
+	l2, rid, err := w.coord.lease(context.Background(), w.name, w.batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -581,14 +574,7 @@ func TestWorkerLeaseLoops(t *testing.T) {
 	t.Cleanup(ts.Close)
 
 	id, cells := submit(t, ts, tinySpec)
-	w := &fleetWorker{
-		coordinator: ts.URL,
-		name:        "loops",
-		jobs:        2,
-		batch:       1,
-		client:      &http.Client{},
-		log:         obs.Discard(),
-	}
+	w := httpWorker(ts.URL, "loops", 2, 1, obs.Discard())
 	ctx, cancel := context.WithCancel(context.Background())
 	stopped := make(chan struct{})
 	go func() {

@@ -372,8 +372,23 @@ func newServerCfg(cfg config) http.Handler {
 	if cfg.objects != nil {
 		cfg.objects.Register(cfg.registry)
 	}
-	for i := 0; i < cfg.localWorkers; i++ {
-		go s.localWorker(fmt.Sprintf("local-%d", i))
+	for i := range cfg.localWorkers {
+		name := fmt.Sprintf("local-%d", i)
+		w := &worker{
+			name:  name,
+			loops: 1,
+			batch: cfg.leaseBatch,
+			coord: queueCoordinator{s.queue},
+			runner: sweep.Runner{
+				Jobs:       cfg.jobs,
+				Cache:      s.workerCache(),
+				Metrics:    s.sweepM,
+				OnPutError: store.PutWarner(cfg.stderr),
+			},
+			log:   cfg.logger.With("worker", name),
+			level: slog.LevelDebug,
+		}
+		go w.run(context.Background())
 	}
 	mux := http.NewServeMux()
 	routes := []string{
@@ -909,36 +924,6 @@ func (s *server) workerCache() sweep.Cache {
 	return nil
 }
 
-// localWorker is an in-process fleet worker: lease, execute, complete,
-// forever. It heartbeats like a remote worker so long batches survive
-// short lease TTLs, and it reports through the same Complete path — the
-// coordinator cannot tell local and remote workers apart.
-func (s *server) localWorker(name string) {
-	cache := s.workerCache()
-	log := s.cfg.logger.With("worker", name)
-	for {
-		l := s.queue.LeaseWait(context.Background(), name, s.cfg.leaseBatch, leaseWait)
-		if l == nil {
-			continue
-		}
-		log.Debug("lease", "lease", l.ID, "cells", len(l.Cells))
-		stop := keepAlive(l.TTL(), func() bool { return s.queue.Heartbeat(l.ID, name) })
-		runner := sweep.Runner{
-			Jobs:       s.cfg.jobs,
-			Cache:      cache,
-			Metrics:    s.sweepM,
-			OnPutError: store.PutWarner(s.cfg.stderr),
-		}
-		start := time.Now()
-		set, _ := runner.Execute(l.Requests())
-		stop()
-		accepted, dropped := s.queue.Complete(l.ID, name, cellResults(l, set))
-		log.Debug("complete",
-			"lease", l.ID, "accepted", accepted, "dropped", dropped,
-			"dur", time.Since(start).Round(time.Microsecond).String())
-	}
-}
-
 // keepAlive calls beat at an interval safely inside a lease TTL until
 // stop is called or beat reports the lease gone. stop does not wait for
 // a beat in flight; a late beat finds the lease completed and is
@@ -961,21 +946,4 @@ func keepAlive(ttl time.Duration, beat func() bool) (stop func()) {
 		}
 	}()
 	return func() { close(done) }
-}
-
-// cellResults converts an executed lease into a completion report;
-// Execute returns outcomes in request order, which matches the lease's
-// cell order.
-func cellResults(l *fleet.Lease, set *sweep.ResultSet) []fleet.CellResult {
-	out := make([]fleet.CellResult, len(set.Outcomes))
-	for i, o := range set.Outcomes {
-		out[i] = fleet.CellResult{Key: l.Cells[i].Key}
-		if o.Err != nil {
-			out[i].Err = o.Err.Error()
-		} else {
-			d := fleet.ResultDataOf(o.Result)
-			out[i].Result = &d
-		}
-	}
-	return out
 }

@@ -63,21 +63,29 @@ func (o Options) c() int64 {
 	return o.C
 }
 
-// Result is the outcome of one simulated run.
+// Result is the outcome of one simulated run: the cell's coordinates,
+// its statistics and, for pass variants, the pass report.
 type Result struct {
 	Workload string
 	System   string
 	Variant  Variant
-	Checksum int64
-
-	Cycles float64
-	Stats  interp.Stats
+	Snapshot
 
 	// Pass holds the prefetch pass report for auto/icc/indirect-only
-	// variants; nil otherwise.
+	// variants; nil otherwise. It holds pointers into live IR, so it is
+	// not part of the Snapshot and does not survive a store or the wire.
 	Pass *prefetch.Result
+}
 
-	// Memory-system statistics snapshot.
+// Snapshot is everything a run measures: the statistics the store
+// persists and a fleet worker reports, as they are, so a stored object
+// or a completion carries exactly what a live Result does.
+type Snapshot struct {
+	Checksum int64
+	Cycles   float64
+	Stats    interp.Stats
+
+	// Memory-system statistics.
 	L1Hits, L1Misses   uint64
 	DRAMAccesses       uint64
 	SWPrefetches       uint64
@@ -189,29 +197,31 @@ func instance(w *workloads.Workload, v Variant, o Options) (*workloads.Instance,
 }
 
 // assemble snapshots the post-run simulator state into a Result — the
-// one place the statistics a Result carries are defined, so the direct
-// and replay paths cannot drift apart.
+// one place a Snapshot is measured, so the direct and replay paths
+// cannot drift apart.
 func assemble(workload, system string, v Variant, sum int64, st interp.Stats, hier *sim.Hierarchy, passRes *prefetch.Result) *Result {
 	l1 := hier.Caches()[0]
 	return &Result{
 		Workload: workload,
 		System:   system,
 		Variant:  v,
-		Checksum: sum,
-		Cycles:   st.Cycles,
-		Stats:    st,
 		Pass:     passRes,
+		Snapshot: Snapshot{
+			Checksum: sum,
+			Cycles:   st.Cycles,
+			Stats:    st,
 
-		L1Hits:             l1.Hits,
-		L1Misses:           l1.Misses,
-		DRAMAccesses:       hier.DRAMAccesses,
-		SWPrefetches:       hier.SWPrefetches,
-		HWPrefetches:       hier.HWPrefetches,
-		HWPrefetchDropped:  hier.HWPrefetchDropped,
-		TLBWalks:           hier.TLBStats().Walks,
-		LoadStallCycles:    hier.LoadStallCycles,
-		PrefetchLateCycles: hier.PrefetchLateCycles,
-		PrefetchedUnusedL1: l1.PrefetchedUnused,
+			L1Hits:             l1.Hits,
+			L1Misses:           l1.Misses,
+			DRAMAccesses:       hier.DRAMAccesses,
+			SWPrefetches:       hier.SWPrefetches,
+			HWPrefetches:       hier.HWPrefetches,
+			HWPrefetchDropped:  hier.HWPrefetchDropped,
+			TLBWalks:           hier.TLBStats().Walks,
+			LoadStallCycles:    hier.LoadStallCycles,
+			PrefetchLateCycles: hier.PrefetchLateCycles,
+			PrefetchedUnusedL1: l1.PrefetchedUnused,
+		},
 	}
 }
 

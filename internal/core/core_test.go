@@ -103,8 +103,8 @@ func TestRunUnknownVariant(t *testing.T) {
 }
 
 func TestSpeedup(t *testing.T) {
-	a := &Result{Cycles: 100}
-	b := &Result{Cycles: 50}
+	a := &Result{Snapshot: Snapshot{Cycles: 100}}
+	b := &Result{Snapshot: Snapshot{Cycles: 50}}
 	if s := Speedup(a, b); s != 2 {
 		t.Errorf("Speedup = %v, want 2", s)
 	}

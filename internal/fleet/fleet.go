@@ -8,9 +8,9 @@
 // remote worker processes and runs in-process worker loops against it
 // directly. The properties the fabric rests on:
 //
-//   - Idempotent dedupe. A cell's identity is a canonical hash of
+//   - Idempotent dedupe. A cell's identity is a hash of its sweep.Cell
 //     (workload name+params, full machine config, variant, options) —
-//     the same coordinates internal/store keys results by, and like
+//     the same coordinates internal/store keys results by, so like
 //     store keys it excludes the execution mode (direct and replay
 //     results are byte-identical). Overlapping grids from concurrent
 //     clients attach to the same live cell, so every distinct cell is
@@ -21,7 +21,8 @@
 //     and its cells return to the queue when the lease expires — no
 //     cell is ever lost. Duplicate completions (a slow worker racing a
 //     re-lease) are dropped idempotently, so no cell's result is ever
-//     accepted, or persisted, twice.
+//     accepted, or persisted, twice. A cell's result is accepted only
+//     from the lease that last held it.
 //   - Bounded backpressure. Live cells (pending + leased) are capped;
 //     a submission that would exceed the cap is rejected atomically
 //     with ErrQueueFull before anything is enqueued — cmd/swpfd maps
@@ -31,8 +32,8 @@
 //     several submissions keeps the highest priority it has been asked
 //     for at.
 //   - Replay grouping. Cells requested with exec=replay lease as whole
-//     (workload, variant, options) groups, so the worker that records
-//     the group's trace replays every machine × hwpf cell of it —
+//     sweep.Groups (workload, variant, options), so the worker that
+//     records the group's trace replays every machine × hwpf cell of it —
 //     preserving the one-interpretation-per-group amortization of
 //     internal/trace across the fleet.
 //
@@ -53,26 +54,15 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/interp"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/sweep"
 )
 
 // KeyOf returns the canonical cell identity of a request: a SHA-256
-// hex digest over workload name+params, the full machine
-// configuration, the variant and the options. The execution mode is
-// deliberately excluded — direct and replay produce byte-identical
-// results, so they are the same cell.
+// hex digest over the JSON of its sweep.Cell.
 func KeyOf(r sweep.Request) string {
-	doc := struct {
-		Workload string
-		Params   string
-		System   *sim.Config
-		Variant  string
-		Options  core.Options
-	}{r.Workload.Name, r.Workload.Params, r.System, string(r.Variant), r.Options}
-	b, err := json.Marshal(doc)
+	b, err := json.Marshal(r.Cell())
 	if err != nil {
 		// Every field is plain data; Marshal cannot fail.
 		panic(fmt.Sprintf("fleet: marshal key: %v", err))
@@ -146,69 +136,6 @@ func (c CellSpec) Request(resolve WorkloadResolver) (sweep.Request, error) {
 	}, nil
 }
 
-// ResultData is the serializable snapshot of a core.Result carried in
-// completion reports (the Pass report is omitted, like in
-// internal/store: it holds pointers into live IR and no emitter reads
-// it).
-type ResultData struct {
-	Checksum int64
-	Cycles   float64
-	Stats    interp.Stats
-
-	L1Hits, L1Misses   uint64
-	DRAMAccesses       uint64
-	SWPrefetches       uint64
-	HWPrefetches       uint64
-	HWPrefetchDropped  uint64
-	TLBWalks           uint64
-	LoadStallCycles    float64
-	PrefetchLateCycles float64
-	PrefetchedUnusedL1 uint64
-}
-
-// ResultDataOf snapshots a result for the wire.
-func ResultDataOf(res *core.Result) ResultData {
-	return ResultData{
-		Checksum: res.Checksum,
-		Cycles:   res.Cycles,
-		Stats:    res.Stats,
-
-		L1Hits:             res.L1Hits,
-		L1Misses:           res.L1Misses,
-		DRAMAccesses:       res.DRAMAccesses,
-		SWPrefetches:       res.SWPrefetches,
-		HWPrefetches:       res.HWPrefetches,
-		HWPrefetchDropped:  res.HWPrefetchDropped,
-		TLBWalks:           res.TLBWalks,
-		LoadStallCycles:    res.LoadStallCycles,
-		PrefetchLateCycles: res.PrefetchLateCycles,
-		PrefetchedUnusedL1: res.PrefetchedUnusedL1,
-	}
-}
-
-// Result rebuilds a core.Result for the given request's coordinates.
-func (d ResultData) Result(r sweep.Request) *core.Result {
-	return &core.Result{
-		Workload: r.Workload.Name,
-		System:   r.System.Name,
-		Variant:  r.Variant,
-		Checksum: d.Checksum,
-		Cycles:   d.Cycles,
-		Stats:    d.Stats,
-
-		L1Hits:             d.L1Hits,
-		L1Misses:           d.L1Misses,
-		DRAMAccesses:       d.DRAMAccesses,
-		SWPrefetches:       d.SWPrefetches,
-		HWPrefetches:       d.HWPrefetches,
-		HWPrefetchDropped:  d.HWPrefetchDropped,
-		TLBWalks:           d.TLBWalks,
-		LoadStallCycles:    d.LoadStallCycles,
-		PrefetchLateCycles: d.PrefetchLateCycles,
-		PrefetchedUnusedL1: d.PrefetchedUnusedL1,
-	}
-}
-
 // LeaseCell is one cell inside a lease: the key the worker must echo
 // back, plus the wire spec.
 type LeaseCell struct {
@@ -223,24 +150,17 @@ type Lease struct {
 	ID    string      `json:"id"`
 	TTLMS int64       `json:"ttl_ms"`
 	Cells []LeaseCell `json:"cells"`
-
-	// reqs holds the live requests for in-process workers, indexed
-	// like Cells; remote workers reconstruct them from the specs.
-	reqs []sweep.Request
 }
-
-// Requests returns the lease's cells as live requests — the in-process
-// fast path that skips the wire round trip.
-func (l *Lease) Requests() []sweep.Request { return l.reqs }
 
 // TTL returns the lease's time-to-live.
 func (l *Lease) TTL() time.Duration { return time.Duration(l.TTLMS) * time.Millisecond }
 
-// CellResult is one cell's outcome in a completion report.
+// CellResult is one cell's outcome in a completion report: an error,
+// or the result's snapshot.
 type CellResult struct {
-	Key    string      `json:"key"`
-	Err    string      `json:"err,omitempty"`
-	Result *ResultData `json:"result,omitempty"`
+	Key    string         `json:"key"`
+	Err    string         `json:"err,omitempty"`
+	Result *core.Snapshot `json:"result,omitempty"`
 }
 
 // ErrQueueFull is returned by Submit when admitting the submission's
@@ -371,15 +291,6 @@ const (
 	cellLeased
 )
 
-// replayGroup identifies the functional coordinates a replay trace is
-// shared across — machine and hwpf absent, exactly like the sweep
-// engine's grouping.
-type replayGroup struct {
-	name, params string
-	variant      core.Variant
-	options      core.Options
-}
-
 // waiter is one submission slot waiting on a cell.
 type waiter struct {
 	t   *Ticket
@@ -393,9 +304,9 @@ type cell struct {
 	spec     CellSpec
 	prio     int
 	seq      int64
-	group    *replayGroup // non-nil when leased as a replay group
+	group    *sweep.Group // non-nil when leased as a replay group
 	state    cellState
-	leaseID  string
+	leaseID  string    // the lease that last held the cell; kept on requeue
 	leasedAt time.Time // last time the cell was handed to a worker
 	waiters  []waiter
 }
@@ -636,7 +547,8 @@ func (q *Queue) Submit(reqs []sweep.Request, specs []CellSpec, prio int) (*Ticke
 			q.seq++
 			c = &cell{key: keys[i], req: r, spec: specs[i], prio: prio, seq: q.seq}
 			if r.ExecMode() == core.ExecReplay {
-				c.group = &replayGroup{r.Workload.Name, r.Workload.Params, r.Variant, r.Options}
+				g := r.Group()
+				c.group = &g
 			}
 			q.cells[c.key] = c
 			q.insertPendingLocked(c)
@@ -750,7 +662,7 @@ func (q *Queue) leaseLocked(worker string, max int) *Lease {
 		c.leasedAt = now
 		l.cells = append(l.cells, c)
 	}
-	groups := make(map[replayGroup]bool)
+	groups := make(map[sweep.Group]bool)
 	for _, c := range q.pending {
 		if len(l.cells) >= max && (c.group == nil || !groups[*c.group]) {
 			break
@@ -788,7 +700,6 @@ func (q *Queue) leaseLocked(worker string, max int) *Lease {
 	out := &Lease{ID: l.id, TTLMS: q.ttl.Milliseconds()}
 	for _, c := range l.cells {
 		out.Cells = append(out.Cells, LeaseCell{Key: c.key, Spec: c.spec})
-		out.reqs = append(out.reqs, c.req)
 	}
 	return out
 }
@@ -809,11 +720,12 @@ func (q *Queue) Heartbeat(id, worker string) bool {
 }
 
 // Complete accepts a worker's results for a lease. Results are matched
-// to live cells by key, idempotently: keys that are unknown or no
-// longer owned by any lease (already completed elsewhere) are dropped,
-// never double-counted and never re-persisted. Cells of the lease
-// missing from the report are requeued. Returns accepted and dropped
-// counts.
+// to live cells by key, idempotently: a result is accepted only for a
+// live cell whose last lease is id — still held, or expired and
+// requeued but not yet re-leased. Unknown keys (already completed),
+// cells re-leased since, and cells id never held are dropped, never
+// double-counted and never persisted. Cells of the lease missing from
+// the report are requeued. Returns accepted and dropped counts.
 func (q *Queue) Complete(id, worker string, results []CellResult) (accepted, dropped int) {
 	type delivery struct {
 		c   *cell
@@ -829,9 +741,9 @@ func (q *Queue) Complete(id, worker string, results []CellResult) (accepted, dro
 	delete(q.leases, id)
 	for _, r := range results {
 		c := q.cells[r.Key]
-		if c == nil || (c.state == cellLeased && c.leaseID != id) {
-			// Unknown (already completed) or re-leased to a live worker
-			// after this lease expired: the other completion wins.
+		if c == nil || c.leaseID == "" || c.leaseID != id {
+			// Unknown (already completed), never leased, or re-leased
+			// after this lease expired: only the holder may answer.
 			q.dupDropped++
 			dropped++
 			continue
@@ -850,7 +762,7 @@ func (q *Queue) Complete(id, worker string, results []CellResult) (accepted, dro
 			d.err = fmt.Errorf("fleet: worker %s reported cell %s with neither result nor error", worker, r.Key[:12])
 			q.failed++
 		} else {
-			d.res = r.Result.Result(c.req)
+			d.res = c.req.Restore(*r.Result)
 		}
 		q.completed++
 		accepted++
@@ -865,7 +777,6 @@ func (q *Queue) Complete(id, worker string, results []CellResult) (accepted, dro
 		requeued := false
 		for _, c := range l.cells {
 			if c.state == cellLeased && c.leaseID == id && q.cells[c.key] == c {
-				c.leaseID = ""
 				q.insertPendingLocked(c)
 				q.requeued++
 				requeued = true
@@ -911,7 +822,6 @@ func (q *Queue) expireLocked() {
 		delete(q.leases, id)
 		for _, c := range l.cells {
 			if c.state == cellLeased && c.leaseID == id && q.cells[c.key] == c {
-				c.leaseID = ""
 				q.insertPendingLocked(c)
 				q.requeued++
 				requeued = true

@@ -47,8 +47,8 @@ func tinyReqs(t *testing.T, nWorkloads int, exec core.ExecMode) ([]sweep.Request
 var tinyPool = sync.OnceValue(workloads.Tiny)
 
 // fakeResult fabricates a distinct result payload for a cell.
-func fakeResult(i int) *ResultData {
-	return &ResultData{Checksum: int64(1000 + i), Cycles: float64(i) + 0.5}
+func fakeResult(i int) *core.Snapshot {
+	return &core.Snapshot{Checksum: int64(1000 + i), Cycles: float64(i) + 0.5}
 }
 
 // completeAll leases everything with one worker and completes each
@@ -250,6 +250,79 @@ func TestLeaseExpiryRequeues(t *testing.T) {
 		if set.Outcomes[i].Result == nil || set.Outcomes[i].Result.Checksum < 1100 {
 			t.Fatalf("outcome %d did not come from the live worker: %+v", i, set.Outcomes[i].Result)
 		}
+	}
+}
+
+// TestCompleteOnlyFromHoldingLease: a cell's result is accepted only
+// from the lease that last held it — never from a lease ID the queue
+// did not issue, nor from another live lease — and a dropped result
+// is neither delivered nor persisted. A lease that expired keeps its
+// claim until its cells are re-leased, so its late results count.
+func TestCompleteOnlyFromHoldingLease(t *testing.T) {
+	now := time.Unix(0, 0)
+	cache := &countingCache{}
+	q := New(Options{Cache: cache, LeaseTTL: time.Second, Now: func() time.Time { return now }})
+	reqs, specs := tinyReqs(t, 2, core.ExecDirect) // 4 cells
+	tk, err := q.Submit(reqs, specs, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := func(keys []string) []CellResult {
+		var out []CellResult
+		for i, k := range keys {
+			out = append(out, CellResult{Key: k, Result: fakeResult(i)})
+		}
+		return out
+	}
+	keys := make([]string, len(reqs))
+	for i, r := range reqs {
+		keys[i] = KeyOf(r)
+	}
+
+	// Nothing leased yet: forged and empty lease IDs are both refused.
+	for _, id := range []string{"lease-never-issued", ""} {
+		if acc, dropped := q.Complete(id, "intruder", all(keys)); acc != 0 || dropped != len(keys) {
+			t.Fatalf("Complete(%q) on pending cells: accepted %d dropped %d, want 0/%d", id, acc, dropped, len(keys))
+		}
+	}
+
+	// Two live leases: neither may answer for the other's cells. The
+	// report ends lease a, whose omitted cells go back to pending.
+	a, b := q.Lease("a", 2), q.Lease("b", 2)
+	if a == nil || b == nil || len(a.Cells) != 2 || len(b.Cells) != 2 {
+		t.Fatalf("leases: %+v %+v", a, b)
+	}
+	aKeys := []string{a.Cells[0].Key, a.Cells[1].Key}
+	bKeys := []string{b.Cells[0].Key, b.Cells[1].Key}
+	if acc, dropped := q.Complete(a.ID, "a", all(bKeys)); acc != 0 || dropped != 2 {
+		t.Fatalf("lease a answering for b: accepted %d dropped %d, want 0/2", acc, dropped)
+	}
+	if done, _ := tk.Progress(); done != 0 || cache.puts != 0 {
+		t.Fatalf("a refused result reached the ticket (%d done) or the store (%d puts)", done, cache.puts)
+	}
+
+	// b expires too. Requeued cells still belong to their last lease:
+	// its late report counts, a forged one does not.
+	now = now.Add(2 * time.Second)
+	if st := q.Stats(); st.Pending != 4 || st.Requeued != 4 {
+		t.Fatalf("cells not requeued: %+v", st)
+	}
+	if acc, _ := q.Complete("lease-never-issued", "intruder", all(append(aKeys, bKeys...))); acc != 0 {
+		t.Fatalf("forged lease answered %d requeued cells", acc)
+	}
+	if acc, dropped := q.Complete(a.ID, "a", all(aKeys)); acc != 2 || dropped != 0 {
+		t.Fatalf("ended lease's late report: accepted %d dropped %d, want 2/0", acc, dropped)
+	}
+	if acc, dropped := q.Complete(b.ID, "b", all(bKeys)); acc != 2 || dropped != 0 {
+		t.Fatalf("expired lease's late report: accepted %d dropped %d, want 2/0", acc, dropped)
+	}
+	select {
+	case <-tk.Done():
+	default:
+		t.Fatal("ticket unfinished after both holders reported")
+	}
+	if st := q.Stats(); cache.puts != len(keys) || st.Completed != int64(len(keys)) || st.DupDropped != 2*4+2+4 {
+		t.Fatalf("puts %d, stats %+v", cache.puts, st)
 	}
 }
 

@@ -46,7 +46,7 @@ func TestStoreMetrics(t *testing.T) {
 	if _, ok := s.Get(req); ok {
 		t.Fatal("unexpected hit on an empty store")
 	}
-	if err := s.Put(req, &core.Result{Checksum: 1, Cycles: 2}); err != nil {
+	if err := s.Put(req, &core.Result{Snapshot: core.Snapshot{Checksum: 1, Cycles: 2}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := s.Get(req); !ok {
@@ -161,7 +161,7 @@ func TestPeerQueueDepthMetric(t *testing.T) {
 			Variant:  core.VariantAuto,
 			Options:  core.Options{C: int64(8 << i)},
 		}
-		if err := local.Put(req, &core.Result{Checksum: int64(i)}); err != nil {
+		if err := local.Put(req, &core.Result{Snapshot: core.Snapshot{Checksum: int64(i)}}); err != nil {
 			t.Fatal(err)
 		}
 	}

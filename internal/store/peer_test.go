@@ -1,8 +1,10 @@
 package store
 
 import (
+	"bytes"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -77,6 +79,43 @@ func TestPeerReadThrough(t *testing.T) {
 	ps2, _ := local.PeerStats()
 	if ps2.Hits != ps.Hits {
 		t.Fatalf("second run hit the peer: %d -> %d fetches", ps.Hits, ps2.Hits)
+	}
+}
+
+// TestReadThroughCopyIsByteIdentical: GET /objects/{key} serves the
+// stored file as it is, so an object a store fetches through its peer
+// is byte-for-byte its origin file — as write-behind copies are.
+func TestReadThroughCopyIsByteIdentical(t *testing.T) {
+	grid := tinyGrid()
+	upstream, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	runGrid(t, grid, upstream)
+	srv := httptest.NewServer(NewHandler(upstream))
+	defer srv.Close()
+	local, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := local.SetPeer(srv.URL, fastPeerOpts()); err != nil {
+		t.Fatal(err)
+	}
+	runGrid(t, grid, local)
+
+	for _, req := range grid.Expand() {
+		key := upstream.Key(req)
+		origin, err := os.ReadFile(upstream.objectPath(key))
+		if err != nil {
+			t.Fatal(err)
+		}
+		copied, err := os.ReadFile(local.objectPath(key))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(copied, origin) {
+			t.Fatalf("read-through copy of %s differs from its origin:\n%s\nvs\n%s", key[:12], copied, origin)
+		}
 	}
 }
 

@@ -17,7 +17,7 @@ const maxObjectBytes = 64 << 20
 
 // NewHandler serves the store-peer protocol for s:
 //
-//	GET  /objects/{key}  -> object JSON, or 404 when absent
+//	GET  /objects/{key}  -> the stored object file, or 404 when absent
 //	PUT  /objects/{key}  -> 204 after validating and storing the object
 //
 // PUT bodies are validated the same way read-through fetches are: the
@@ -33,14 +33,11 @@ func NewHandler(s *Store) http.Handler {
 		}
 		switch r.Method {
 		case http.MethodGet, http.MethodHead:
-			o, ok := s.loadObject(key)
+			// Serve the validated file as it is, so a read-through
+			// copy is byte-identical to its origin.
+			data, _, ok := s.loadObject(key)
 			if !ok {
 				peerError(w, http.StatusNotFound, "object not found")
-				return
-			}
-			data, err := json.Marshal(o)
-			if err != nil {
-				peerError(w, http.StatusInternalServerError, "encode object")
 				return
 			}
 			w.Header().Set("Content-Type", "application/json")

@@ -14,13 +14,15 @@
 // entry is never visible under its final name.
 //
 // Keys are SHA-256 over a canonical JSON document containing the store
-// format version, a simulator-version salt (sim.StatsVersion), the
-// workload name and constructor parameters, the full machine
-// configuration, the variant, and every option. Changing any of these
-// — a cache size, the look-ahead constant, a workload input size —
-// therefore misses cleanly, and bumping sim.StatsVersion after a
-// stat-affecting engine change invalidates every stale entry at once.
-// See docs/service.md for the full invalidation rules.
+// format version, a simulator-version salt (sim.StatsVersion) and the
+// request's sweep.Cell: the workload name and constructor parameters,
+// the full machine configuration, the variant, and every option.
+// Changing any of these — a cache size, the look-ahead constant, a
+// workload input size — therefore misses cleanly, and bumping
+// sim.StatsVersion after a stat-affecting engine change invalidates
+// every stale entry at once. See docs/service.md for the full
+// invalidation rules. An object holds the result's core.Snapshot as it
+// is.
 package store
 
 import (
@@ -36,7 +38,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/interp"
 	"repro/internal/sim"
 	"repro/internal/sweep"
 )
@@ -145,38 +146,31 @@ func (s *Store) Dir() string { return s.dir }
 // Salt returns the simulator-version salt keys are computed under.
 func (s *Store) Salt() string { return s.salt }
 
-// keyDoc is the canonical pre-image of a cache key. Field order is
-// fixed by the struct, values are plain data, and encoding/json is
-// deterministic for both — so equal requests hash equally across
-// processes and platforms.
+// keyDoc is the canonical pre-image of a cache key: the store format
+// version and salt, then the request's sweep.Cell, which encoding/json
+// flattens into the document. Field order is fixed by the structs,
+// values are plain data, and encoding/json is deterministic for both —
+// so equal requests hash equally across processes and platforms.
 //
-// The request's execution mode (sweep.Request.Exec) is deliberately
-// NOT a field: direct and replay produce byte-identical results, so a
-// result computed under either mode must answer requests in both —
-// splitting the keys would halve every warm cache for no information.
-// Trace objects, where the distinction does matter, live in their own
-// key space (see trace.go).
+// The request's execution mode (sweep.Request.Exec) is not part of a
+// Cell: direct and replay produce byte-identical results, so a result
+// computed under either mode must answer requests in both — splitting
+// the keys would halve every warm cache for no information. Trace
+// objects, where the distinction does matter, live in their own key
+// space (see trace.go).
 type keyDoc struct {
-	Format   int
-	Salt     string
-	Workload string
-	Params   string
-	System   *sim.Config
-	Variant  string
-	Options  core.Options
+	Format int
+	Salt   string
+	sweep.Cell
 }
 
 // Key returns the content address of a request under the store's salt.
 func (s *Store) Key(r sweep.Request) string {
-	doc := keyDoc{
-		Format:   FormatVersion,
-		Salt:     s.salt,
-		Workload: r.Workload.Name,
-		Params:   r.Workload.Params,
-		System:   r.System,
-		Variant:  string(r.Variant),
-		Options:  r.Options,
-	}
+	return hashDoc(keyDoc{FormatVersion, s.salt, r.Cell()})
+}
+
+// hashDoc is the SHA-256 hex digest of a key document's JSON.
+func hashDoc(doc any) string {
 	b, err := json.Marshal(doc)
 	if err != nil {
 		// Every field is plain data; Marshal cannot fail.
@@ -186,28 +180,11 @@ func (s *Store) Key(r sweep.Request) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// resultData is the serializable snapshot of a core.Result. The Pass
-// report is deliberately absent: it holds pointers into live IR, and
-// no result-set consumer (records, CSV/JSON emitters, golden dumps)
-// reads it — cached results carry Pass == nil.
-type resultData struct {
-	Checksum int64
-	Cycles   float64
-	Stats    interp.Stats
-
-	L1Hits, L1Misses   uint64
-	DRAMAccesses       uint64
-	SWPrefetches       uint64
-	HWPrefetches       uint64
-	HWPrefetchDropped  uint64
-	TLBWalks           uint64
-	LoadStallCycles    float64
-	PrefetchLateCycles float64
-	PrefetchedUnusedL1 uint64
-}
-
 // object is the on-disk entry schema: the key coordinates repeated in
-// clear text (so an object file is self-describing) plus the result.
+// clear text (so an object file is self-describing) plus the result's
+// snapshot. The Pass report is absent: it holds pointers into live IR,
+// and no result-set consumer (records, CSV/JSON emitters, golden dumps)
+// reads it — cached results carry Pass == nil.
 type object struct {
 	Key      string
 	Salt     string
@@ -216,7 +193,7 @@ type object struct {
 	System   string
 	Variant  string
 	Options  core.Options
-	Result   resultData
+	Result   core.Snapshot
 }
 
 // objectPath shards objects by the first key byte, keeping directory
@@ -233,7 +210,7 @@ func (s *Store) objectPath(key string) string {
 // like local hits; a down peer degrades to local-only.
 func (s *Store) Get(r sweep.Request) (*core.Result, bool) {
 	key := s.Key(r)
-	o, ok := s.loadObject(key)
+	_, o, ok := s.loadObject(key)
 	if !ok && s.peer != nil {
 		if data, found := s.peer.fetch(key); found {
 			if po, valid := decodeObject(data, key); valid {
@@ -249,35 +226,18 @@ func (s *Store) Get(r sweep.Request) (*core.Result, bool) {
 		return nil, false
 	}
 	s.hits.Add(1)
-	d := o.Result
-	return &core.Result{
-		Workload: r.Workload.Name,
-		System:   r.System.Name,
-		Variant:  r.Variant,
-		Checksum: d.Checksum,
-		Cycles:   d.Cycles,
-		Stats:    d.Stats,
-
-		L1Hits:             d.L1Hits,
-		L1Misses:           d.L1Misses,
-		DRAMAccesses:       d.DRAMAccesses,
-		SWPrefetches:       d.SWPrefetches,
-		HWPrefetches:       d.HWPrefetches,
-		HWPrefetchDropped:  d.HWPrefetchDropped,
-		TLBWalks:           d.TLBWalks,
-		LoadStallCycles:    d.LoadStallCycles,
-		PrefetchLateCycles: d.PrefetchLateCycles,
-		PrefetchedUnusedL1: d.PrefetchedUnusedL1,
-	}, true
+	return r.Restore(o.Result), true
 }
 
-// loadObject reads and validates one local object by key.
-func (s *Store) loadObject(key string) (*object, bool) {
+// loadObject reads and validates one local object by key, returning
+// its file bytes and their decoding.
+func (s *Store) loadObject(key string) ([]byte, *object, bool) {
 	data, err := os.ReadFile(s.objectPath(key))
 	if err != nil {
-		return nil, false
+		return nil, nil, false
 	}
-	return decodeObject(data, key)
+	o, ok := decodeObject(data, key)
+	return data, o, ok
 }
 
 // decodeObject validates raw object bytes against the key they claim
@@ -319,22 +279,7 @@ func (s *Store) Put(r sweep.Request, res *core.Result) error {
 		System:   r.System.Name,
 		Variant:  string(r.Variant),
 		Options:  r.Options,
-		Result: resultData{
-			Checksum: res.Checksum,
-			Cycles:   res.Cycles,
-			Stats:    res.Stats,
-
-			L1Hits:             res.L1Hits,
-			L1Misses:           res.L1Misses,
-			DRAMAccesses:       res.DRAMAccesses,
-			SWPrefetches:       res.SWPrefetches,
-			HWPrefetches:       res.HWPrefetches,
-			HWPrefetchDropped:  res.HWPrefetchDropped,
-			TLBWalks:           res.TLBWalks,
-			LoadStallCycles:    res.LoadStallCycles,
-			PrefetchLateCycles: res.PrefetchLateCycles,
-			PrefetchedUnusedL1: res.PrefetchedUnusedL1,
-		},
+		Result:   res.Snapshot,
 	}
 	data, err := json.MarshalIndent(&o, "", " ")
 	if err != nil {

@@ -1,14 +1,10 @@
 package store
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 
-	"repro/internal/core"
 	"repro/internal/sweep"
 	"repro/internal/trace"
 )
@@ -25,8 +21,8 @@ import (
 //     them), so a result computed under either mode must serve both —
 //     a warm direct store answering a replay sweep is a feature, and
 //     splitting the keys would silently halve every cache.
-//   - Trace keys EXCLUDE the machine configuration. A trace is
-//     machine-independent by construction (recording under any
+//   - Trace keys hash the request's sweep.Group, the cell without its
+//     machine configuration. A trace is machine-independent by construction (recording under any
 //     sim.Config yields identical bytes); keying it by System would
 //     store one copy per machine and destroy exactly the amortization
 //     the trace exists to provide. The execution mode is not a field
@@ -38,13 +34,10 @@ import (
 //     a stats-definition change invalidates results without discarding
 //     traces (which carry no timing).
 type traceKeyDoc struct {
-	Format   int
-	Kind     string // "trace": keeps the document distinct from keyDoc
-	Salt     string
-	Workload string
-	Params   string
-	Variant  string
-	Options  core.Options
+	Format int
+	Kind   string // "trace": keeps the document distinct from keyDoc
+	Salt   string
+	sweep.Group
 }
 
 // DefaultTraceSalt is the trace-version salt new stores use: bumping
@@ -60,21 +53,7 @@ func (s *Store) TraceSalt() string { return s.traceSalt }
 // the store's trace salt. The System and Exec coordinates are
 // deliberately absent; see traceKeyDoc.
 func (s *Store) TraceKey(r sweep.Request) string {
-	doc := traceKeyDoc{
-		Format:   FormatVersion,
-		Kind:     "trace",
-		Salt:     s.traceSalt,
-		Workload: r.Workload.Name,
-		Params:   r.Workload.Params,
-		Variant:  string(r.Variant),
-		Options:  r.Options,
-	}
-	b, err := json.Marshal(doc)
-	if err != nil {
-		panic(fmt.Sprintf("store: marshal trace key: %v", err)) // plain data; unreachable
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
+	return hashDoc(traceKeyDoc{FormatVersion, "trace", s.traceSalt, r.Group()})
 }
 
 // tracePath shards trace objects like result objects.

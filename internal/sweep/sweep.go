@@ -13,9 +13,10 @@
 //
 // Cells requested with Exec = core.ExecReplay run through the
 // record/replay split (internal/trace): the engine factors them by
-// (workload, variant, options) — the functional coordinates — records
-// (or fetches from a TraceCache) one trace per group, and retimes every
-// machine × hwpf cell of the group by replaying that trace. Replayed
+// Group (workload, variant, options) — the functional coordinates —
+// records (or fetches from a TraceCache) one trace per group, and
+// retimes every machine × hwpf cell of the group by replaying that
+// trace. Replayed
 // statistics are byte-for-byte identical to direct runs, so the two
 // modes are interchangeable cell by cell; replay just amortizes the
 // interpreter across the timing axes.
@@ -56,6 +57,48 @@ func (r Request) ExecMode() core.ExecMode {
 		return core.ExecDirect
 	}
 	return r.Exec
+}
+
+// Cell is the identity of a request: every coordinate its statistics
+// depend on. The execution mode is absent — direct and replay produce
+// byte-identical results, so they are the same cell. Field order and
+// types are a format: internal/store and internal/fleet hash the JSON
+// of a Cell (embedded in their key documents, whose encoding flattens
+// it), so reordering or retyping a field moves every stored key.
+type Cell struct {
+	Workload string
+	Params   string
+	System   *sim.Config
+	Variant  core.Variant
+	Options  core.Options
+}
+
+// Group is a Cell without its machine: the functional coordinates a
+// recorded trace depends on. The cells of one Group share one trace,
+// which is what replay amortizes. Like Cell, its JSON is hashed into
+// trace keys.
+type Group struct {
+	Workload string
+	Params   string
+	Variant  core.Variant
+	Options  core.Options
+}
+
+// Cell returns the request's cell identity.
+func (r Request) Cell() Cell {
+	return Cell{r.Workload.Name, r.Workload.Params, r.System, r.Variant, r.Options}
+}
+
+// Group returns the request's replay group.
+func (r Request) Group() Group {
+	return Group{r.Workload.Name, r.Workload.Params, r.Variant, r.Options}
+}
+
+// Restore rebuilds the Result a snapshot of this request's cell stands
+// for — a stored object or a worker's report. The pass report is nil:
+// a snapshot does not carry it.
+func (r Request) Restore(s core.Snapshot) *core.Result {
+	return &core.Result{Workload: r.Workload.Name, System: r.System.Name, Variant: r.Variant, Snapshot: s}
 }
 
 // Outcome pairs a request with what happened when it ran.
@@ -136,14 +179,6 @@ type Runner struct {
 	Metrics *Metrics
 }
 
-// groupKey identifies a replay group: the functional coordinates of a
-// recording. Machine and hwpf are absent — that is the amortization.
-type groupKey struct {
-	name, params string
-	variant      core.Variant
-	options      core.Options
-}
-
 // group is one replay group: the request indices (in request order)
 // sharing a functional key.
 type group struct {
@@ -181,7 +216,7 @@ func (r Runner) Execute(reqs []Request) (*ResultSet, error) {
 	// cells (and vice versa) — the modes produce identical results.
 	var direct []int
 	var groups []*group
-	byKey := make(map[groupKey]*group)
+	byKey := make(map[Group]*group)
 	for i, req := range reqs {
 		if r.Cache != nil {
 			if res, ok := r.Cache.Get(req); ok {
@@ -195,7 +230,7 @@ func (r Runner) Execute(reqs []Request) (*ResultSet, error) {
 			direct = append(direct, i)
 			continue
 		}
-		k := groupKey{req.Workload.Name, req.Workload.Params, req.Variant, req.Options}
+		k := req.Group()
 		g := byKey[k]
 		if g == nil {
 			g = &group{}
