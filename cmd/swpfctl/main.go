@@ -218,45 +218,24 @@ func cmdSubmit(argv []string, stdout, stderr io.Writer) error {
 	if fs.NArg() != 0 {
 		return fmt.Errorf("submit takes no positional arguments (got %q)", fs.Arg(0))
 	}
-	if *file != "" && *raw != "" {
-		return fmt.Errorf("-f and -spec are mutually exclusive")
-	}
-
-	var body []byte
-	switch {
-	case *file == "-":
-		var err error
-		if body, err = io.ReadAll(os.Stdin); err != nil {
-			return fmt.Errorf("reading stdin: %w", err)
-		}
-	case *file != "":
-		var err error
-		if body, err = os.ReadFile(*file); err != nil {
-			return err
-		}
-	case *raw != "":
-		body = []byte(*raw)
-	default:
-		// The flags fill the shared grid spec of internal/sweep — the
-		// same struct the daemon decodes and validates, so the client
-		// cannot drift from the server's spec schema.
-		spec := sweep.Spec{
-			Workloads: *workloads,
-			Systems:   *systems,
-			Variants:  *variants,
-			HWPF:      *hwpfAxis,
-			Core:      *coreAxis,
-			Exec:      *exec,
-			C:         *c,
-			Depth:     *depth,
-			Hoist:     *hoist,
-			Quality:   *quality,
-			Priority:  *priority,
-		}
-		var err error
-		if body, err = json.Marshal(spec); err != nil {
-			return err
-		}
+	// The flags fill the shared grid spec of internal/sweep — the same
+	// struct the daemon decodes and validates, so the client cannot
+	// drift from the server's spec schema.
+	body, err := specBody(*file, *raw, sweep.Spec{
+		Workloads: *workloads,
+		Systems:   *systems,
+		Variants:  *variants,
+		HWPF:      *hwpfAxis,
+		Core:      *coreAxis,
+		Exec:      *exec,
+		C:         *c,
+		Depth:     *depth,
+		Hoist:     *hoist,
+		Quality:   *quality,
+		Priority:  *priority,
+	})
+	if err != nil {
+		return err
 	}
 
 	addr, _ := resolveAddr(*addrFlag)
@@ -301,6 +280,27 @@ func cmdSubmit(argv []string, stdout, stderr io.Writer) error {
 	return nil
 }
 
+// specBody returns a submission's request body: the -f file ('-' for
+// stdin) or the -spec JSON verbatim, else the spec the axis flags
+// built.
+func specBody(file, raw string, fromFlags any) ([]byte, error) {
+	switch {
+	case file != "" && raw != "":
+		return nil, fmt.Errorf("-f and -spec are mutually exclusive")
+	case file == "-":
+		body, err := io.ReadAll(os.Stdin)
+		if err != nil {
+			return nil, fmt.Errorf("reading stdin: %w", err)
+		}
+		return body, nil
+	case file != "":
+		return os.ReadFile(file)
+	case raw != "":
+		return []byte(raw), nil
+	}
+	return json.Marshal(fromFlags)
+}
+
 // tuneReply mirrors swpfd's POST /tune reply.
 type tuneReply struct {
 	ID string `json:"id"`
@@ -339,49 +339,30 @@ func cmdTune(argv []string, stdout, stderr io.Writer) error {
 	if fs.NArg() != 0 {
 		return fmt.Errorf("tune takes no positional arguments (got %q)", fs.Arg(0))
 	}
-	if *file != "" && *raw != "" {
-		return fmt.Errorf("-f and -spec are mutually exclusive")
-	}
 	switch *format {
 	case "json", "csv":
 	default:
 		return fmt.Errorf("unknown format %q (have json, csv)", *format)
 	}
 
-	var body []byte
-	switch {
-	case *file == "-":
-		var err error
-		if body, err = io.ReadAll(os.Stdin); err != nil {
-			return fmt.Errorf("reading stdin: %w", err)
-		}
-	case *file != "":
-		var err error
-		if body, err = os.ReadFile(*file); err != nil {
-			return err
-		}
-	case *raw != "":
-		body = []byte(*raw)
-	default:
-		// The flags fill the shared tune spec of internal/tune — the
-		// struct the daemon and swpfbench -tune decode and validate.
-		spec := tune.Spec{
-			Strategy: *strategy,
-			Cs:       *cs,
-			Depths:   *depths,
-			Hoists:   *hoists,
-		}
-		spec.Workloads = *workloads
-		spec.Systems = *systems
-		spec.Variants = *variant
-		spec.HWPF = *hwpfAxis
-		spec.Core = *coreAxis
-		spec.Quality = *quality
-		spec.Priority = *priority
-		var err error
-		if body, err = json.Marshal(spec); err != nil {
-			return err
-		}
+	// The flags fill the shared tune spec of internal/tune — the struct
+	// the daemon and swpfbench -tune decode and validate.
+	spec := tune.Spec{
+		Strategy: *strategy,
+		Cs:       *cs,
+		Depths:   *depths,
+		Hoists:   *hoists,
+	}
+	spec.Workloads = *workloads
+	spec.Systems = *systems
+	spec.Variants = *variant
+	spec.HWPF = *hwpfAxis
+	spec.Core = *coreAxis
+	spec.Quality = *quality
+	spec.Priority = *priority
+	body, err := specBody(*file, *raw, spec)
+	if err != nil {
+		return err
 	}
 
 	addr, _ := resolveAddr(*addrFlag)

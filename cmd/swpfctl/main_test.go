@@ -36,6 +36,15 @@ func (f *fakeCoordinator) handler() http.Handler {
 		}
 		fmt.Fprint(w, `{"id":"job-1","cells":4}`)
 	})
+	mux.HandleFunc("POST /tune", func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		f.mu.Lock()
+		f.submitted = append(f.submitted, string(body))
+		f.mu.Unlock()
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusAccepted)
+		fmt.Fprint(w, `{"id":"job-1"}`)
+	})
 	mux.HandleFunc("GET /jobs", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprint(w, `[{"id":"job-1","state":"done","total":4,"done":4}]`)
 	})
@@ -180,6 +189,28 @@ func TestSubmitFileAndWait(t *testing.T) {
 	if !strings.Contains(errb.String(), "4/4\tdone") {
 		t.Errorf("wait progress missing: %q", errb.String())
 	}
+
+	// tune reads its spec through the same -f path, then -wait follows
+	// the search and fetches the report.
+	tuneFile := filepath.Join(t.TempDir(), "tune.json")
+	tuneSpec := `{"workloads":"IS","systems":"A53","quality":"tiny","strategy":"hillclimb"}`
+	if err := os.WriteFile(tuneFile, []byte(tuneSpec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out.Reset()
+	errb.Reset()
+	if err := run([]string{"tune", "-addr", ts.URL, "-f", tuneFile, "-wait"}, &out, &errb); err != nil {
+		t.Fatalf("tune -f -wait: %v (%s)", err, errb.String())
+	}
+	if got := f.submitted[len(f.submitted)-1]; got != tuneSpec {
+		t.Errorf("tune file body not passed through: %q", got)
+	}
+	if got, want := out.String(), "job-1\n"+`[{"workload":"IS"}]`; got != want {
+		t.Errorf("tune -wait output = %q, want %q", got, want)
+	}
+	if !strings.Contains(errb.String(), "4/4\tdone") {
+		t.Errorf("tune wait progress missing: %q", errb.String())
+	}
 }
 
 func TestStatusAndFollow(t *testing.T) {
@@ -271,6 +302,7 @@ func TestBadCommands(t *testing.T) {
 		{},
 		{"teleport"},
 		{"submit", "-f", "x", "-spec", "{}"},
+		{"tune", "-f", "x", "-spec", "{}"},
 		{"submit", "positional"},
 		{"status", "-follow"},
 		{"status", "a", "b"},

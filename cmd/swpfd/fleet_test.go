@@ -248,15 +248,57 @@ func TestResultsConflictWhileRunning(t *testing.T) {
 	}
 }
 
-// TestEventsStream: GET /jobs/{id}/events is an SSE stream whose
-// terminal event carries the final state and counts, after which the
-// stream closes. A subscriber joining a finished job sees exactly the
-// terminal event.
+// TestEventsStream: GET /jobs/{id}/events is an SSE stream of
+// monotonic counts whose terminal event carries the final state and
+// counts, after which the stream closes. A subscriber joining a
+// finished job sees exactly the terminal event.
 func TestEventsStream(t *testing.T) {
 	ts := httptest.NewServer(newServer(2, nil))
 	defer ts.Close()
 
 	id, cells := submit(t, ts, tinySpec)
+	checkEvents(t, ts, id, cells)
+}
+
+// checkEvents follows job id's SSE stream to its end and checks the
+// events contract every job kind shares: counts only grow, the last
+// event is the only terminal one and reports total done of total, and
+// a late subscriber sees exactly that terminal event. total -1 takes
+// the total from the terminal event, for jobs whose submit reply does
+// not give it.
+func checkEvents(t *testing.T, ts *httptest.Server, id string, total int) {
+	t.Helper()
+	events := readEvents(t, ts, id)
+	if len(events) == 0 {
+		t.Fatal("no events streamed")
+	}
+	last := events[len(events)-1]
+	if total < 0 {
+		total = last.Total
+	}
+	if last.State != stateDone || last.Done == 0 || last.Done != total || last.Total != total {
+		t.Fatalf("terminal event wrong: %+v", last)
+	}
+	for i := 1; i < len(events); i++ {
+		if events[i].Done < events[i-1].Done || events[i].Total < events[i-1].Total {
+			t.Errorf("event counts not monotonic: %+v", events)
+		}
+		if events[i-1].State != stateRunning {
+			t.Errorf("event after the terminal one: %+v", events)
+		}
+	}
+
+	// Late subscriber: one terminal event, stream closes.
+	late := readEvents(t, ts, id)
+	if len(late) != 1 || late[0] != last {
+		t.Errorf("late subscriber saw %+v, want exactly %+v", late, last)
+	}
+}
+
+// readEvents follows a job's SSE stream until the daemon closes it and
+// returns every event.
+func readEvents(t *testing.T, ts *httptest.Server, id string) []Event {
+	t.Helper()
 	resp, err := http.Get(ts.URL + "/jobs/" + id + "/events")
 	if err != nil {
 		t.Fatal(err)
@@ -265,7 +307,6 @@ func TestEventsStream(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
 		t.Fatalf("events Content-Type = %q", ct)
 	}
-
 	var events []Event
 	sc := bufio.NewScanner(resp.Body)
 	for sc.Scan() {
@@ -282,36 +323,7 @@ func TestEventsStream(t *testing.T) {
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if len(events) == 0 {
-		t.Fatal("no events streamed")
-	}
-	last := events[len(events)-1]
-	if last.State != stateDone || last.Done != cells || last.Total != cells {
-		t.Fatalf("terminal event wrong: %+v", last)
-	}
-	for i := 1; i < len(events); i++ {
-		if events[i].Done < events[i-1].Done {
-			t.Errorf("event counts not monotonic: %+v", events)
-		}
-	}
-
-	// Late subscriber: one terminal event, stream closes.
-	resp2, err := http.Get(ts.URL + "/jobs/" + id + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	late, err := bufio.NewReader(resp2.Body).ReadString('\n')
-	resp2.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ev Event
-	if err := json.Unmarshal([]byte(strings.TrimPrefix(strings.TrimSpace(late), "data: ")), &ev); err != nil {
-		t.Fatalf("late event %q: %v", late, err)
-	}
-	if ev.State != stateDone || ev.Done != cells {
-		t.Errorf("late subscriber event wrong: %+v", ev)
-	}
+	return events
 }
 
 // TestFleetWorkerLoop drives the real worker-mode code (httpWorker)

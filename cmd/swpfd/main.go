@@ -22,8 +22,8 @@
 //	                   live progress as Server-Sent Events; the stream
 //	                   ends after the terminal event
 //	GET  /results?id=ID[&format=csv|json]
-//	                   a completed job's ResultSet (JSON records by
-//	                   default, CSV on request)
+//	                   a completed job's result — a sweep's ResultSet,
+//	                   a tune's Report (JSON by default, CSV on request)
 //	GET  /meta[?quality=full|quick|tiny|gen]
 //	                   enumerate every grid axis so specs can be built
 //	                   without reading source
@@ -226,26 +226,91 @@ const (
 // separately by the queue's max-pending admission control.)
 const maxJobs = 256
 
-// job is one submitted sweep or tune search. A sweep job is backed by
-// a fleet ticket, which holds all its dynamic state; a tune job is
-// backed by a tuneJob (tune.go), which mirrors the ticket's progress
-// and terminal-state contract — exactly one of the two is set.
+// job is one submitted sweep or tune search. Both kinds share one
+// progress state — counts, a state, an error and ping subscribers —
+// and one result value; they differ only in who feeds the progress (a
+// sweep's ticket; the tuner and the tickets of its evaluation batches)
+// and what /results renders (a ResultSet; a tune Report).
 type job struct {
 	id       string
 	spec     SweepSpec
-	ticket   *fleet.Ticket
-	tuneSpec *TuneSpec
-	tune     *tuneJob
+	tuneSpec *TuneSpec // the full tune spec, for tune jobs
+
+	mu     sync.Mutex
+	done   int
+	total  int
+	state  string
+	errMsg string
+	result results // set when the job is done
+	subs   map[chan struct{}]bool
+}
+
+// results is what GET /results renders: *sweep.ResultSet for a sweep,
+// *tune.Report for a tune.
+type results interface {
+	WriteJSON(io.Writer) error
+	WriteCSV(io.Writer) error
+}
+
+// progress advances the counts monotonically — feeds interleave (a
+// tune's batch totals and its batches' deliveries), so a stale update
+// never moves a count back — and pings subscribers on a change.
+func (j *job) progress(done, total int) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if done <= j.done && total <= j.total {
+		return
+	}
+	j.done = max(j.done, done)
+	j.total = max(j.total, total)
+	j.notifyLocked()
+}
+
+// finish moves the job to its terminal state: done with res, or failed
+// with err.
+func (j *job) finish(res results, err error) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if err != nil {
+		j.state = stateFailed
+		j.errMsg = err.Error()
+	} else {
+		j.state = stateDone
+		j.result = res
+	}
+	j.notifyLocked()
+}
+
+// notifyLocked pings every subscriber without blocking; a full ping
+// channel means a notification is already pending, which coalesces.
+func (j *job) notifyLocked() {
+	for ch := range j.subs {
+		select {
+		case ch <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// subscribe registers a ping channel, pre-loaded so a late subscriber
+// sees the current (possibly terminal) state at once.
+func (j *job) subscribe() (<-chan struct{}, func()) {
+	ch := make(chan struct{}, 1)
+	ch <- struct{}{}
+	j.mu.Lock()
+	j.subs[ch] = true
+	j.mu.Unlock()
+	return ch, func() {
+		j.mu.Lock()
+		delete(j.subs, ch)
+		j.mu.Unlock()
+	}
 }
 
 // terminal reports whether the job has finished (either way).
 func (j *job) terminal() bool {
-	if j.tune != nil {
-		_, t := j.tune.snapshot()
-		return t
-	}
-	_, t := j.ticket.ResultSet()
-	return t
+	st, _ := j.status()
+	return st.State != stateRunning
 }
 
 // JobStatus is the wire form of a job, served by GET /jobs{,/{id}}.
@@ -262,37 +327,20 @@ type JobStatus struct {
 	Error string    `json:"error,omitempty"`
 }
 
-func (j *job) status() JobStatus {
-	if j.tune != nil {
-		ev, _ := j.tune.snapshot()
-		_, errMsg, _ := j.tune.result()
-		return JobStatus{
-			ID:    j.id,
-			Spec:  j.spec,
-			Tune:  j.tuneSpec,
-			State: ev.State,
-			Total: ev.Total,
-			Done:  ev.Done,
-			Error: errMsg,
-		}
-	}
-	done, total := j.ticket.Progress()
-	st := JobStatus{
+// status snapshots the job's wire form together with its result (nil
+// until the job is done).
+func (j *job) status() (JobStatus, results) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return JobStatus{
 		ID:    j.id,
 		Spec:  j.spec,
-		State: stateRunning,
-		Total: total,
-		Done:  done,
-	}
-	if set, ok := j.ticket.ResultSet(); ok {
-		if err := set.Err(); err != nil {
-			st.State = stateFailed
-			st.Error = err.Error()
-		} else {
-			st.State = stateDone
-		}
-	}
-	return st
+		Tune:  j.tuneSpec,
+		State: j.state,
+		Total: j.total,
+		Done:  j.done,
+		Error: j.errMsg,
+	}, j.result
 }
 
 // config wires a server; the zero value of every field selects a sane
@@ -623,13 +671,15 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusInternalServerError, "%v", err)
 			return
 		}
-		s.mu.Lock()
-		s.seq++
-		j := &job{id: "job-" + strconv.Itoa(s.seq), spec: p.spec, ticket: ticket}
-		s.byID[j.id] = j
-		s.ids = append(s.ids, j.id)
-		s.evictLocked()
-		s.mu.Unlock()
+		j := s.addJob(p.spec, nil)
+		// Fed synchronously: a ticket whose cells were all store hits
+		// is already finished, so the job is terminal before we reply.
+		ticket.Watch(func(done, total int, set *sweep.ResultSet) {
+			j.progress(done, total)
+			if set != nil {
+				j.finish(set, set.Err())
+			}
+		})
 		replies = append(replies, SubmitReply{ID: j.id, Cells: len(p.reqs)})
 	}
 	if batch {
@@ -666,6 +716,24 @@ func decodeSpecs(body []byte) (specs []SweepSpec, batch bool, err error) {
 	return []SweepSpec{spec}, false, nil
 }
 
+// addJob registers a new running job under the next id.
+func (s *server) addJob(spec SweepSpec, tsp *TuneSpec) *job {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.seq++
+	j := &job{
+		id:       "job-" + strconv.Itoa(s.seq),
+		spec:     spec,
+		tuneSpec: tsp,
+		state:    stateRunning,
+		subs:     make(map[chan struct{}]bool),
+	}
+	s.byID[j.id] = j
+	s.ids = append(s.ids, j.id)
+	s.evictLocked()
+	return j
+}
+
 // evictLocked drops the oldest terminal jobs (result sets included)
 // while the table exceeds maxJobs; the caller holds s.mu.
 func (s *server) evictLocked() {
@@ -695,7 +763,7 @@ func (s *server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	out := make([]JobStatus, len(list))
 	for i, j := range list {
-		out[i] = j.status()
+		out[i], _ = j.status()
 	}
 	writeJSON(w, http.StatusOK, out)
 }
@@ -706,7 +774,8 @@ func (s *server) handleJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
-	writeJSON(w, http.StatusOK, j.status())
+	st, _ := j.status()
+	writeJSON(w, http.StatusOK, st)
 }
 
 // Event is one GET /jobs/{id}/events payload: a progress snapshot;
@@ -729,16 +798,12 @@ func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
-	if j.tune != nil {
-		s.handleTuneEvents(w, r, j)
-		return
-	}
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		writeError(w, http.StatusInternalServerError, "streaming unsupported")
 		return
 	}
-	ch, cancel := j.ticket.Subscribe()
+	ch, cancel := j.subscribe()
 	defer cancel()
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
@@ -749,31 +814,28 @@ func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		select {
 		case <-r.Context().Done():
 			return
-		case p := <-ch:
-			ev := Event{Done: p.Done, Total: p.Total, State: stateRunning}
-			if p.Finished {
-				// The ticket is finished, so status() is terminal.
-				ev.State = j.status().State
-			}
+		case <-ch:
+			st, _ := j.status()
 			if _, err := io.WriteString(w, "data: "); err != nil {
 				return
 			}
-			if err := enc.Encode(ev); err != nil { // Encode appends the \n
+			if err := enc.Encode(Event{Done: st.Done, Total: st.Total, State: st.State}); err != nil { // Encode appends the \n
 				return
 			}
 			if _, err := io.WriteString(w, "\n"); err != nil {
 				return
 			}
 			fl.Flush()
-			if p.Finished {
+			if st.State != stateRunning {
 				return
 			}
 		}
 	}
 }
 
-// handleResults streams a completed job's result set through the
-// ResultSet emitters: JSON records by default, CSV with format=csv.
+// handleResults renders a completed job's result — a sweep's
+// ResultSet or a tune's Report, through their shared emitters: JSON by
+// default, CSV with format=csv.
 func (s *server) handleResults(w http.ResponseWriter, r *http.Request) {
 	id := r.URL.Query().Get("id")
 	j := s.lookup(id)
@@ -781,27 +843,22 @@ func (s *server) handleResults(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown job %q", id)
 		return
 	}
-	if j.tune != nil {
-		s.handleTuneResults(w, r, j)
+	st, res := j.status()
+	switch st.State {
+	case stateRunning:
+		writeError(w, http.StatusConflict, "job %s not finished (%d/%d cells)", id, st.Done, st.Total)
 		return
-	}
-	set, finished := j.ticket.ResultSet()
-	if !finished {
-		done, total := j.ticket.Progress()
-		writeError(w, http.StatusConflict, "job %s not finished (%d/%d cells)", id, done, total)
-		return
-	}
-	if err := set.Err(); err != nil {
-		writeError(w, http.StatusInternalServerError, "job %s failed: %v", id, err)
+	case stateFailed:
+		writeError(w, http.StatusInternalServerError, "job %s failed: %v", id, st.Error)
 		return
 	}
 	switch format := r.URL.Query().Get("format"); format {
 	case "", "json":
 		w.Header().Set("Content-Type", "application/json")
-		set.WriteJSON(w)
+		res.WriteJSON(w)
 	case "csv":
 		w.Header().Set("Content-Type", "text/csv")
-		set.WriteCSV(w)
+		res.WriteCSV(w)
 	default:
 		writeError(w, http.StatusBadRequest, "unknown format %q (have json, csv)", format)
 	}

@@ -120,6 +120,17 @@ func TestEndToEnd(t *testing.T) {
 		if cells != len(grid.Expand()) {
 			t.Fatalf("%s: submitted %d cells, want %d", pass, cells, len(grid.Expand()))
 		}
+		if pass == "warm" {
+			// Every cell is a store hit, so the job is finished before
+			// POST /sweep replies: its results are there without a poll.
+			code, body := fetch(t, ts, "/results?id="+id)
+			if code != http.StatusOK {
+				t.Fatalf("warm: GET /results before poll = %d: %s", code, body)
+			}
+			if !bytes.Equal(body, wantJSON.Bytes()) {
+				t.Errorf("warm: JSON results before poll differ from direct run:\n%s", body)
+			}
+		}
 		final := poll(t, ts, id)
 		if final.State != stateDone || final.Done != cells || final.Error != "" {
 			t.Fatalf("%s: job finished badly: %+v", pass, final)
@@ -541,5 +552,75 @@ func TestGenQuality(t *testing.T) {
 	}
 	if final := poll(t, ts, id); final.State != stateDone {
 		t.Fatalf("gen sweep failed: %+v", final)
+	}
+}
+
+// TestJobEviction: past maxJobs the oldest terminal jobs — tune and
+// sweep alike — are evicted first, after which every endpoint answers
+// 404 for their ids; a running job is never evicted.
+func TestJobEviction(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(newServer(2, st))
+	defer ts.Close()
+
+	// hit is stored by job-2, so every later submission of it is all
+	// store hits: terminal before POST /sweep replies.
+	const hit = `{"workloads":"IS","systems":"A53","variants":"plain","quality":"tiny"}`
+	tuneID := submitTune(t, ts, tinyTuneSpec)
+	if final := poll(t, ts, tuneID); final.State != stateDone {
+		t.Fatalf("tune job %s: %+v", tuneID, final)
+	}
+	sweepID, _ := submit(t, ts, hit)
+	if final := poll(t, ts, sweepID); final.State != stateDone {
+		t.Fatalf("sweep job %s: %+v", sweepID, final)
+	}
+	// gone reports whether id was evicted; an evicted job must answer
+	// 404 on every endpoint.
+	gone := func(ts *httptest.Server, id string) bool {
+		t.Helper()
+		if code, _ := fetch(t, ts, "/jobs/"+id); code != http.StatusNotFound {
+			return false
+		}
+		for _, path := range []string{"/jobs/" + id + "/events", "/results?id=" + id} {
+			if code, _ := fetch(t, ts, path); code != http.StatusNotFound {
+				t.Fatalf("evicted job %s: GET %s = %d, want 404", id, path, code)
+			}
+		}
+		return true
+	}
+	for range maxJobs - 2 {
+		submit(t, ts, hit)
+	}
+	if gone(ts, tuneID) || gone(ts, sweepID) {
+		t.Fatalf("evicted at %d jobs, the bound is %d", maxJobs, maxJobs)
+	}
+	submit(t, ts, hit)
+	if !gone(ts, tuneID) || gone(ts, sweepID) {
+		t.Fatal("one job over the bound: want the tune job (oldest) evicted, the sweep kept")
+	}
+	submit(t, ts, hit)
+	if !gone(ts, sweepID) || gone(ts, "job-3") {
+		t.Fatal("two jobs over the bound: want the sweep job evicted next, job-3 kept")
+	}
+	var list []JobStatus
+	if code, body := fetch(t, ts, "/jobs"); code != http.StatusOK || json.Unmarshal(body, &list) != nil || len(list) != maxJobs {
+		t.Fatalf("GET /jobs lists %d jobs, want %d", len(list), maxJobs)
+	}
+
+	// Coordinator-only over the same store: the first job's cell is not
+	// stored, so it runs forever, and outlives every terminal job.
+	co := coordinatorOnly(t, config{cache: st})
+	running, _ := submit(t, co, `{"workloads":"CG","systems":"A53","variants":"plain","quality":"tiny"}`)
+	for range maxJobs + 1 {
+		submit(t, co, hit)
+	}
+	if gone(co, running) {
+		t.Fatal("running job evicted")
+	}
+	if !gone(co, "job-2") || !gone(co, "job-3") || gone(co, "job-4") {
+		t.Fatal("want the two oldest terminal jobs evicted in place of the running one")
 	}
 }

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"net/http"
@@ -127,48 +126,15 @@ func TestTuneEndToEnd(t *testing.T) {
 }
 
 // TestTuneEvents follows a tune job's SSE stream to its terminal
-// event — the same event shape and termination contract as sweeps.
+// event — the same event shape and termination contract as sweeps. A
+// tune's counts are evaluations, whose number the submit reply does
+// not give.
 func TestTuneEvents(t *testing.T) {
 	ts := httptest.NewServer(newServer(2, nil))
 	defer ts.Close()
 
 	id := submitTune(t, ts, tinyTuneSpec)
-	resp, err := http.Get(ts.URL + "/jobs/" + id + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("Content-Type = %q", ct)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	var last Event
-	seen := false
-	for sc.Scan() {
-		line := sc.Text()
-		if !strings.HasPrefix(line, "data: ") {
-			continue
-		}
-		if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &last); err != nil {
-			t.Fatalf("bad event %q: %v", line, err)
-		}
-		seen = true
-		if last.State != stateRunning {
-			break
-		}
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if !seen {
-		t.Fatal("no events received")
-	}
-	if last.State != stateDone {
-		t.Fatalf("terminal event state = %q, want %q", last.State, stateDone)
-	}
-	if last.Done == 0 || last.Done != last.Total {
-		t.Fatalf("terminal event progress = %d/%d, want full", last.Done, last.Total)
-	}
+	checkEvents(t, ts, id, -1)
 }
 
 // TestTuneBadRequests pins the /tune error contract: malformed JSON,

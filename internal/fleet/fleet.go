@@ -177,35 +177,18 @@ func (e ErrQueueFull) Error() string {
 		e.Live, e.New, e.Limit, e.RetryAfter)
 }
 
-// Progress is one progress notification on a ticket subscription.
-type Progress struct {
-	Done, Total int
-	Finished    bool
-}
-
 // Ticket tracks one submission through the queue: per-request outcome
-// slots, a progress counter, and subscriber channels for streaming.
+// slots, a progress counter, and one progress watcher.
 type Ticket struct {
-	q     *Queue
 	total int
 
 	mu       sync.Mutex
 	outs     []sweep.Outcome
 	done     int
 	finished bool
-	subs     map[chan Progress]bool
+	watch    func(done, total int, set *sweep.ResultSet)
 
 	doneCh chan struct{}
-}
-
-// Total returns the submission's cell count.
-func (t *Ticket) Total() int { return t.total }
-
-// Progress returns completed and total counts.
-func (t *Ticket) Progress() (done, total int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.done, t.total
 }
 
 // Done is closed when every cell of the submission has an outcome.
@@ -216,51 +199,33 @@ func (t *Ticket) Done() <-chan struct{} { return t.doneCh }
 func (t *Ticket) ResultSet() (*sweep.ResultSet, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if !t.finished {
-		return nil, false
-	}
-	return &sweep.ResultSet{Outcomes: t.outs}, true
+	_, set := t.progressLocked()
+	return set, set != nil
 }
 
-// Subscribe registers a progress listener. The channel is buffered and
-// intermediate events may be coalesced (counts are monotonic), but the
-// final Finished event is always delivered. The returned cancel
-// function unsubscribes and closes the channel; it is idempotent.
-func (t *Ticket) Subscribe() (<-chan Progress, func()) {
-	ch := make(chan Progress, 16)
+// Watch registers fn as the ticket's progress watcher; a ticket takes
+// one. fn is called at once with the current counts — so a watcher of
+// a finished ticket sees its terminal state immediately — and again
+// after every delivered outcome. set is nil until the ticket finishes;
+// exactly one call carries the outcomes, and it returns before Done
+// closes. Calls are made outside every queue and ticket lock, so
+// deliveries from concurrent completions may overlap and arrive out of
+// order: a watcher keeps the highest count it has seen.
+func (t *Ticket) Watch(fn func(done, total int, set *sweep.ResultSet)) {
 	t.mu.Lock()
-	if t.subs == nil {
-		t.subs = make(map[chan Progress]bool)
-	}
-	t.subs[ch] = true
-	// Seed with the current state so late subscribers see something
-	// immediately — including the terminal event of a finished ticket.
-	t.pushLocked(ch, Progress{Done: t.done, Total: t.total, Finished: t.finished})
+	t.watch = fn
+	done, set := t.progressLocked()
 	t.mu.Unlock()
-	return ch, func() {
-		t.mu.Lock()
-		if t.subs[ch] {
-			delete(t.subs, ch)
-			close(ch)
-		}
-		t.mu.Unlock()
-	}
+	fn(done, t.total, set)
 }
 
-// pushLocked delivers without blocking: if the buffer is full the
-// oldest event is dropped — later events carry newer counts.
-func (t *Ticket) pushLocked(ch chan Progress, p Progress) {
-	for {
-		select {
-		case ch <- p:
-			return
-		default:
-			select {
-			case <-ch:
-			default:
-			}
-		}
+// progressLocked returns the done count and, once the ticket is
+// finished, its outcomes.
+func (t *Ticket) progressLocked() (int, *sweep.ResultSet) {
+	if !t.finished {
+		return t.done, nil
 	}
+	return t.done, &sweep.ResultSet{Outcomes: t.outs}
 }
 
 // deliver fills one outcome slot and advances progress.
@@ -269,16 +234,14 @@ func (t *Ticket) deliver(idx int, res *core.Result, err error) {
 	t.outs[idx].Result = res
 	t.outs[idx].Err = err
 	t.done++
-	p := Progress{Done: t.done, Total: t.total, Finished: t.done == t.total}
-	for ch := range t.subs {
-		t.pushLocked(ch, p)
-	}
-	fin := p.Finished && !t.finished
-	if fin {
-		t.finished = true
-	}
+	t.finished = t.done == t.total
+	done, set := t.progressLocked()
+	watch := t.watch
 	t.mu.Unlock()
-	if fin {
+	if watch != nil {
+		watch(done, t.total, set)
+	}
+	if set != nil {
 		close(t.doneCh)
 	}
 }
@@ -476,7 +439,7 @@ func (q *Queue) Submit(reqs []sweep.Request, specs []CellSpec, prio int) (*Ticke
 	if len(specs) != len(reqs) {
 		return nil, fmt.Errorf("fleet: %d specs for %d requests", len(specs), len(reqs))
 	}
-	t := &Ticket{q: q, total: len(reqs), outs: make([]sweep.Outcome, len(reqs)), doneCh: make(chan struct{})}
+	t := &Ticket{total: len(reqs), outs: make([]sweep.Outcome, len(reqs)), doneCh: make(chan struct{})}
 	for i, r := range reqs {
 		t.outs[i].Request = r
 	}
@@ -801,7 +764,8 @@ func (q *Queue) Complete(id, worker string, results []CellResult) (accepted, dro
 	}
 	q.mu.Unlock()
 
-	// Fan out after dropping the queue lock: deliver takes ticket locks.
+	// Fan out after dropping the queue lock: deliver takes ticket locks
+	// and calls their watchers.
 	for _, d := range deliveries {
 		for _, w := range d.c.waiters {
 			w.t.deliver(w.idx, d.res, d.err)

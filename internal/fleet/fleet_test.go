@@ -267,6 +267,8 @@ func TestCompleteOnlyFromHoldingLease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	delivered := 0
+	tk.Watch(func(done, _ int, _ *sweep.ResultSet) { delivered = done })
 	all := func(keys []string) []CellResult {
 		var out []CellResult
 		for i, k := range keys {
@@ -297,8 +299,8 @@ func TestCompleteOnlyFromHoldingLease(t *testing.T) {
 	if acc, dropped := q.Complete(a.ID, "a", all(bKeys)); acc != 0 || dropped != 2 {
 		t.Fatalf("lease a answering for b: accepted %d dropped %d, want 0/2", acc, dropped)
 	}
-	if done, _ := tk.Progress(); done != 0 || cache.puts != 0 {
-		t.Fatalf("a refused result reached the ticket (%d done) or the store (%d puts)", done, cache.puts)
+	if delivered != 0 || cache.puts != 0 {
+		t.Fatalf("a refused result reached the ticket (%d done) or the store (%d puts)", delivered, cache.puts)
 	}
 
 	// b expires too. Requeued cells still belong to their last lease:
@@ -580,44 +582,52 @@ func TestCellSpecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSubscribeStreamsProgress: subscribers see monotonic counts ending
-// in a Finished event; late subscribers see the terminal state.
-func TestSubscribeStreamsProgress(t *testing.T) {
+// TestWatchStreamsProgress: the watcher sees monotonic counts ending
+// in a finished call carrying the outcomes; a late watcher sees the
+// terminal state at once.
+func TestWatchStreamsProgress(t *testing.T) {
 	q := New(Options{})
 	reqs, specs := tinyReqs(t, 1, core.ExecDirect)
 	tk, err := q.Submit(reqs, specs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, cancel := tk.Subscribe()
-	defer cancel()
+	type call struct {
+		done, total int
+		set         *sweep.ResultSet
+	}
+	var calls []call // completeAll delivers on this goroutine
+	tk.Watch(func(done, total int, set *sweep.ResultSet) {
+		calls = append(calls, call{done, total, set})
+	})
 	completeAll(t, q, "w")
-
-	deadline := time.After(5 * time.Second)
-	last := Progress{}
-	for !last.Finished {
-		select {
-		case p := <-ch:
-			if p.Done < last.Done {
-				t.Fatalf("progress went backwards: %+v after %+v", p, last)
-			}
-			last = p
-		case <-deadline:
-			t.Fatal("no Finished event")
-		}
-	}
-	if last.Done != len(reqs) || last.Total != len(reqs) {
-		t.Fatalf("terminal progress %+v, want %d/%d", last, len(reqs), len(reqs))
-	}
-
-	late, cancelLate := tk.Subscribe()
-	defer cancelLate()
 	select {
-	case p := <-late:
-		if !p.Finished {
-			t.Fatalf("late subscriber saw %+v, want Finished", p)
+	case <-tk.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("ticket never finished")
+	}
+
+	if len(calls) == 0 || calls[0].done != 0 {
+		t.Fatalf("registration call missing: %+v", calls)
+	}
+	for i, c := range calls {
+		if i > 0 && c.done < calls[i-1].done {
+			t.Fatalf("progress went backwards: %+v", calls)
 		}
-	default:
-		t.Fatal("late subscriber saw nothing")
+		if (c.set != nil) != (i == len(calls)-1) {
+			t.Fatalf("call %d of %d carries set=%v; only the last may", i, len(calls), c.set != nil)
+		}
+	}
+	last := calls[len(calls)-1]
+	if last.set == nil || last.done != len(reqs) || last.total != len(reqs) || len(last.set.Outcomes) != len(reqs) {
+		t.Fatalf("terminal call %+v, want %d/%d with outcomes", last, len(reqs), len(reqs))
+	}
+
+	var late []call
+	tk.Watch(func(done, total int, set *sweep.ResultSet) {
+		late = append(late, call{done, total, set})
+	})
+	if len(late) != 1 || late[0].set == nil || late[0].done != len(reqs) {
+		t.Fatalf("late watcher saw %+v, want one finished call", late)
 	}
 }
