@@ -336,7 +336,7 @@ func TestFleetWorkerLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := coordinatorOnly(t, config{cache: st, objects: st, leaseBatch: 3})
+	ts := coordinatorOnly(t, config{store: st, leaseBatch: 3})
 
 	id, cells := submit(t, ts, tinySpec)
 
@@ -562,7 +562,7 @@ func TestWorkerLeaseLoops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := newServerCfg(config{cache: st, objects: st, localWorkers: -1, stderr: &bytes.Buffer{}})
+	h := newServerCfg(config{store: st, localWorkers: -1, stderr: &bytes.Buffer{}})
 	var leased atomic.Int32
 	twoLeased := make(chan struct{})
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

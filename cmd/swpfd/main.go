@@ -34,8 +34,6 @@
 //	POST /fleet/complete   report a lease's results
 //	POST /fleet/heartbeat  extend a lease
 //	GET  /fleet            queue + store statistics
-//	GET|PUT /objects/{key} the store-peer protocol (internal/store),
-//	                       mounted when a store is attached
 //
 // Cells run on -local-workers in-process worker loops (default 1) plus
 // any number of remote `swpfd -worker URL` processes pulling from
@@ -54,8 +52,8 @@
 // so non-loopback binds are an explicit choice; :0 picks an ephemeral
 // port and prints it), -jobs (worker pool size per sweep; in worker
 // mode also the number of lease loops),
-// -store/-no-store (result cache; default $SWPF_STORE), -peer (store
-// peer URL; default $SWPF_PEER), -local-workers, -lease-ttl,
+// -store/-no-store (result cache; default $SWPF_STORE — coordinators
+// may share one store directory), -local-workers, -lease-ttl,
 // -lease-batch, -max-pending, and -worker URL (run as a fleet worker
 // instead of a daemon). See docs/service.md and docs/fleet.md.
 package main
@@ -109,7 +107,6 @@ func run(argv []string, stderr io.Writer) error {
 		jobs    = fs.Int("jobs", 0, "worker goroutines per sweep, and lease loops in -worker mode (0 = all CPUs)")
 		worker  = fs.String("worker", "", "run as a fleet worker pulling cells from this coordinator URL instead of serving")
 		name    = fs.String("name", "", "worker name reported to the coordinator (default swpfd-<pid>)")
-		peer    = fs.String("peer", "", "store-peer URL for read-through/write-behind replication (default $"+store.PeerEnvVar+")")
 		locals  = fs.Int("local-workers", 1, "in-process worker loops (0 = coordinate only, serve cells to remote workers)")
 		ttl     = fs.Duration("lease-ttl", fleet.DefaultLeaseTTL, "fleet lease time-to-live between worker heartbeats")
 		batch   = fs.Int("lease-batch", 8, "max cells per worker lease")
@@ -132,24 +129,8 @@ func run(argv []string, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	var cache sweep.Cache
 	if st != nil {
-		if p := *peer; p == "" {
-			p = os.Getenv(store.PeerEnvVar)
-			if p != "" {
-				*peer = p
-			}
-		}
-		if *peer != "" {
-			if err := st.SetPeer(*peer, store.PeerOptions{}); err != nil {
-				return err
-			}
-			logger.Info("store peer", "url", *peer)
-		}
-		cache = st
 		logger.Info("store", "dir", st.Dir())
-	} else if *peer != "" {
-		return fmt.Errorf("-peer requires a result store (-store or $%s)", store.EnvVar)
 	}
 	// On the flag, 0 means coordinate-only; in config that is the -1
 	// sentinel (config 0 selects the 1-worker default).
@@ -159,8 +140,7 @@ func run(argv []string, stderr io.Writer) error {
 	}
 	h := newServerCfg(config{
 		jobs:         *jobs,
-		cache:        cache,
-		objects:      st,
+		store:        st,
 		localWorkers: lw,
 		leaseBatch:   *batch,
 		maxPending:   *pending,
@@ -347,8 +327,7 @@ func (j *job) status() (JobStatus, results) {
 // default.
 type config struct {
 	jobs         int          // sweep worker-pool size per local worker
-	cache        sweep.Cache  // result cache; nil = none
-	objects      *store.Store // when non-nil, /objects/ serves the store-peer protocol
+	store        *store.Store // result store; nil = none
 	localWorkers int          // in-process worker loops; -1 = none, 0 = 1
 	leaseBatch   int
 	maxPending   int
@@ -375,14 +354,14 @@ type server struct {
 
 // newServer builds a daemon handler with default fleet settings and
 // one in-process worker — the single-node shape, and the shape most
-// tests drive; cache may be nil.
-func newServer(jobs int, cache sweep.Cache) http.Handler {
-	return newServerCfg(config{jobs: jobs, cache: cache})
+// tests drive; st may be nil.
+func newServer(jobs int, st *store.Store) http.Handler {
+	return newServerCfg(config{jobs: jobs, store: st})
 }
 
 // newServerCfg builds the daemon's HTTP handler and starts its local
 // worker loops. Every layer shares one metrics registry — the fleet
-// queue, the store and its peer, the sweep engine and the tuner all
+// queue, the store, the sweep engine and the tuner all
 // register collectors or instruments on it, and the handler exposes it
 // as GET /metrics (Prometheus text) and GET /debug/vars (JSON) behind
 // the same middleware that instruments and access-logs every route.
@@ -404,21 +383,25 @@ func newServerCfg(cfg config) http.Handler {
 	if cfg.logger == nil {
 		cfg.logger = obs.Discard()
 	}
+	// Convert only a non-nil store: a typed nil inside sweep.Cache
+	// would read as "cache attached".
+	var cache sweep.Cache
+	if cfg.store != nil {
+		cache = cfg.store
+		cfg.store.Register(cfg.registry)
+	}
 	s := &server{
 		cfg:    cfg,
 		byID:   make(map[string]*job),
 		sweepM: sweep.NewMetrics(cfg.registry),
 		tuneM:  tune.NewMetrics(cfg.registry),
 		queue: fleet.New(fleet.Options{
-			Cache:      cfg.cache,
+			Cache:      cache,
 			MaxPending: cfg.maxPending,
 			LeaseTTL:   cfg.leaseTTL,
 			OnPutError: store.PutWarner(cfg.stderr),
 			Registry:   cfg.registry,
 		}),
-	}
-	if cfg.objects != nil {
-		cfg.objects.Register(cfg.registry)
 	}
 	for i := range cfg.localWorkers {
 		name := fmt.Sprintf("local-%d", i)
@@ -477,10 +460,6 @@ func newServerCfg(cfg config) http.Handler {
 		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	}
-	if cfg.objects != nil {
-		routes = append(routes, "/objects/")
-		mux.Handle("/objects/", store.NewHandler(cfg.objects))
 	}
 	return obs.NewHTTPMetrics(cfg.registry, routes).Middleware(mux, cfg.logger)
 }
@@ -940,19 +919,15 @@ func (s *server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 
 // FleetStatus is the GET /fleet response.
 type FleetStatus struct {
-	Queue fleet.Stats      `json:"queue"`
-	Store *store.Stats     `json:"store,omitempty"`
-	Peer  *store.PeerStats `json:"peer,omitempty"`
+	Queue fleet.Stats  `json:"queue"`
+	Store *store.Stats `json:"store,omitempty"`
 }
 
 func (s *server) handleFleet(w http.ResponseWriter, r *http.Request) {
 	out := FleetStatus{Queue: s.queue.Stats()}
-	if s.cfg.objects != nil {
-		st := s.cfg.objects.Stats()
+	if s.cfg.store != nil {
+		st := s.cfg.store.Stats()
 		out.Store = &st
-		if ps, ok := s.cfg.objects.PeerStats(); ok {
-			out.Peer = &ps
-		}
 	}
 	writeJSON(w, http.StatusOK, out)
 }
@@ -975,8 +950,8 @@ func (c traceOnlyCache) PutTrace(r sweep.Request, t *trace.Trace) error {
 
 // workerCache builds the cache a local worker runs under.
 func (s *server) workerCache() sweep.Cache {
-	if tc, ok := s.cfg.cache.(sweep.TraceCache); ok {
-		return traceOnlyCache{tc}
+	if s.cfg.store != nil {
+		return traceOnlyCache{s.cfg.store}
 	}
 	return nil
 }

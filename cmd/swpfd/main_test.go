@@ -612,7 +612,7 @@ func TestJobEviction(t *testing.T) {
 
 	// Coordinator-only over the same store: the first job's cell is not
 	// stored, so it runs forever, and outlives every terminal job.
-	co := coordinatorOnly(t, config{cache: st})
+	co := coordinatorOnly(t, config{store: st})
 	running, _ := submit(t, co, `{"workloads":"CG","systems":"A53","variants":"plain","quality":"tiny"}`)
 	for range maxJobs + 1 {
 		submit(t, co, hit)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
-	"net"
 	"os"
 	"strings"
 	"sync"
@@ -264,49 +263,43 @@ func TestWorkerKillMidGrid(t *testing.T) {
 	}
 }
 
-// TestDeadStorePeer is the degradation companion: a coordinator whose
-// store peer is unreachable keeps serving — reads fall back to local,
-// writes are dropped after bounded retries, results stay correct.
-func TestDeadStorePeer(t *testing.T) {
-	// Grab a port nothing listens on.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dead := "http://" + ln.Addr().String()
-	ln.Close()
-
-	f := StartFleet(t, FleetConfig{Workers: 1, StoreDir: t.TempDir(), Peer: dead})
-
-	sp := tinySpec{workloads: "IS", systems: "A53", variants: "plain,auto"}
-	id, err := submitWait(f, sp)
-	if err != nil {
-		t.Fatalf("submit against dead peer: %v", err)
-	}
+// TestSharedStoreDir: two coordinators share results by pointing
+// their -store flags at one directory. Coordinator B, started on the
+// directory coordinator A filled, serves A's grid entirely from the
+// store — no cell simulated, none stored again — with bytes identical
+// to a direct run.
+func TestSharedStoreDir(t *testing.T) {
+	dir := t.TempDir()
+	sp := tinySpec{workloads: "IS,CG", systems: "A53", variants: "plain,auto"}
+	cells := int64(len(sp.grid(t).Expand()))
 	wantCSV, _ := sp.direct(t)
-	if got := f.Swpfctl("results", "-id", id, "-format", "csv"); got != wantCSV {
-		t.Errorf("results with dead peer differ from direct run:\n got: %q\nwant: %q", got, wantCSV)
+
+	a := StartFleet(t, FleetConfig{Workers: 1, StoreDir: dir})
+	idA, err := submitWait(a, sp)
+	if err != nil {
+		t.Fatalf("submit to coordinator A: %v", err)
+	}
+	if got := a.Swpfctl("results", "-id", idA, "-format", "csv"); got != wantCSV {
+		t.Fatalf("coordinator A differs from direct run:\n got: %q\nwant: %q", got, wantCSV)
+	}
+	if fs := a.Stats(); fs.Store == nil || fs.Store.Puts != cells {
+		t.Fatalf("coordinator A store = %+v, want %d puts", fs.Store, cells)
 	}
 
-	// The breaker observes the failures and the write-behind queue
-	// drops its replications; give the async writer a moment.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		fs := f.Stats()
-		if fs.Peer == nil {
-			t.Fatal("no peer stats on /fleet")
-		}
-		if !fs.Peer.Up && fs.Peer.Dropped > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("peer never marked down: up=%v dropped=%d", fs.Peer.Up, fs.Peer.Dropped)
-		}
-		time.Sleep(50 * time.Millisecond)
+	b := StartFleet(t, FleetConfig{Workers: 1, StoreDir: dir})
+	idB, err := submitWait(b, sp)
+	if err != nil {
+		t.Fatalf("submit to coordinator B: %v", err)
 	}
-
-	// Local results survived the peer outage.
-	if fs := f.Stats(); fs.Store.Puts != 2 {
-		t.Errorf("store puts = %d, want 2", fs.Store.Puts)
+	if got := b.Swpfctl("results", "-id", idB, "-format", "csv"); got != wantCSV {
+		t.Errorf("coordinator B differs from direct run:\n got: %q\nwant: %q", got, wantCSV)
+	}
+	fs := b.Stats()
+	if fs.Store == nil || fs.Store.Hits != cells || fs.Store.Puts != 0 {
+		t.Errorf("coordinator B store = %+v, want %d hits / 0 puts", fs.Store, cells)
+	}
+	if fs.Queue.CacheHits != cells || fs.Queue.Completed != 0 {
+		t.Errorf("coordinator B queue: %d cache hits / %d completed, want %d / 0",
+			fs.Queue.CacheHits, fs.Queue.Completed, cells)
 	}
 }

@@ -78,9 +78,6 @@ type FleetConfig struct {
 	Workers int
 	// StoreDir, when non-empty, is the coordinator's -store directory.
 	StoreDir string
-	// Peer, when non-empty, is the coordinator's -peer URL (requires
-	// StoreDir).
-	Peer string
 	// LeaseTTL, when non-zero, is passed as -lease-ttl.
 	LeaseTTL time.Duration
 	// LeaseBatch, when non-zero, is passed as -lease-batch (coordinator
@@ -121,9 +118,9 @@ func start(t *testing.T, name string, bin string, args ...string) *process {
 	t.Helper()
 	p := &process{name: name, lines: make(chan string, 64)}
 	p.cmd = exec.Command(bin, args...)
-	// Neutralize ambient store/peer/client configuration: fleets must
-	// be shaped only by the flags the test passes.
-	p.cmd.Env = append(os.Environ(), "SWPF_STORE=", "SWPF_PEER=", "SWPFCTL_ADDR=", "SWPFCTL_CONFIG=")
+	// Neutralize ambient store/client configuration: fleets must be
+	// shaped only by the flags the test passes.
+	p.cmd.Env = append(os.Environ(), "SWPF_STORE=", "SWPFCTL_ADDR=", "SWPFCTL_CONFIG=")
 	stderr, err := p.cmd.StderrPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -229,9 +226,6 @@ func StartFleet(t *testing.T, cfg FleetConfig) *Fleet {
 	if cfg.StoreDir != "" {
 		args = append(args, "-store", cfg.StoreDir)
 	}
-	if cfg.Peer != "" {
-		args = append(args, "-peer", cfg.Peer)
-	}
 	if cfg.LeaseTTL != 0 {
 		args = append(args, "-lease-ttl", cfg.LeaseTTL.String())
 	}
@@ -333,11 +327,6 @@ type FleetStats struct {
 	Store *struct {
 		Hits, Misses, Puts int64
 	} `json:"store"`
-	Peer *struct {
-		Base    string `json:"base"`
-		Up      bool   `json:"up"`
-		Dropped int64  `json:"dropped"`
-	} `json:"peer"`
 }
 
 // Stats fetches the coordinator's /fleet snapshot.

@@ -94,8 +94,10 @@ func NewHierarchy(cfg *Config) *Hierarchy {
 			load = 1
 		}
 		// Each contending core injects `load` times this core's traffic;
-		// bus occupancy per transfer grows accordingly.
-		h.occupancy *= 1 + load*float64(cfg.SharedCores-1)
+		// bus occupancy per transfer grows accordingly. The explicit
+		// conversion rounds the product, so no GOARCH fuses it into
+		// the add (see TestNoFusedMultiplyAdd).
+		h.occupancy *= 1 + float64(load*float64(cfg.SharedCores-1))
 	}
 	return h
 }

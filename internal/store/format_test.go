@@ -52,8 +52,8 @@ func cellResultBody(t *testing.T, key string, res *core.Result) []byte {
 
 // TestFormatFixture pins every byte a cell leaves behind outside the
 // process: its result, trace and fleet keys, its object file, its wire
-// spec and its completion entry. A mismatch means stores, peers or
-// workers of different builds no longer understand each other.
+// spec and its completion entry. A mismatch means stores or workers of
+// different builds no longer understand each other.
 func TestFormatFixture(t *testing.T) {
 	dir := filepath.Join("testdata", "format")
 	req := formatCell(t)

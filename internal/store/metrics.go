@@ -4,17 +4,14 @@ import "repro/internal/obs"
 
 // Register exposes the store's counters on an obs.Registry as a
 // scrape-time collector: every sample within one scrape comes from a
-// single Stats()/PeerStats() snapshot, so result, trace, and peer
-// series are mutually consistent and identical to what GET /fleet
-// reports. The store's own hot paths keep their plain atomics — the
-// collector adds no per-Get/Put cost.
+// single Stats() snapshot, so result and trace series are mutually
+// consistent and identical to what GET /fleet reports. The store's own
+// hot paths keep their plain atomics — the collector adds no
+// per-Get/Put cost.
 func (s *Store) Register(reg *obs.Registry) {
 	reg.Collect(func(emit func(obs.Sample)) {
-		counter := func(name, help string, v int64, labels ...obs.Label) {
-			emit(obs.Sample{Name: name, Help: help, Kind: obs.KindCounter, Value: float64(v), Labels: labels})
-		}
-		gauge := func(name, help string, v float64, labels ...obs.Label) {
-			emit(obs.Sample{Name: name, Help: help, Kind: obs.KindGauge, Value: v, Labels: labels})
+		counter := func(name, help string, v int64) {
+			emit(obs.Sample{Name: name, Help: help, Kind: obs.KindCounter, Value: float64(v)})
 		}
 		st := s.Stats()
 		counter("swpf_store_hits_total", "Result-cache hits.", st.Hits)
@@ -23,22 +20,5 @@ func (s *Store) Register(reg *obs.Registry) {
 		counter("swpf_store_trace_hits_total", "Trace-cache hits.", st.TraceHits)
 		counter("swpf_store_trace_misses_total", "Trace-cache misses.", st.TraceMisses)
 		counter("swpf_store_trace_puts_total", "Trace objects persisted.", st.TracePuts)
-		ps, ok := s.PeerStats()
-		if !ok {
-			return
-		}
-		peer := obs.L("peer", ps.Base)
-		up := 0.0
-		if ps.Up {
-			up = 1
-		}
-		gauge("swpf_store_peer_up", "1 while the peer circuit is closed, 0 while open.", up, peer)
-		counter("swpf_store_peer_hits_total", "Read-through fetches served by the peer.", ps.Hits, peer)
-		counter("swpf_store_peer_misses_total", "Peer 404 answers.", ps.Misses, peer)
-		counter("swpf_store_peer_errors_total", "Peer transport/HTTP failures, both directions.", ps.Errors, peer)
-		counter("swpf_store_peer_puts_total", "Objects replicated to the peer.", ps.Puts, peer)
-		counter("swpf_store_peer_dropped_total", "Write-behind objects given up on.", ps.Dropped, peer)
-		counter("swpf_store_peer_breaker_transitions_total", "Circuit-breaker closed-to-open transitions.", ps.Transitions, peer)
-		gauge("swpf_store_peer_queue_depth", "Write-behind objects waiting to replicate.", float64(ps.QueueDepth), peer)
 	})
 }

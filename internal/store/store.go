@@ -11,7 +11,9 @@
 //
 // Object writes are atomic (temp file + rename), which makes
 // concurrent writers and interrupted sweeps safe — a partially written
-// entry is never visible under its final name.
+// entry is never visible under its final name. Several processes may
+// therefore share one store directory: a cell's object is a pure
+// function of its key, so racing writers can only store the same bits.
 //
 // Keys are SHA-256 over a canonical JSON document containing the store
 // format version, a simulator-version salt (sim.StatsVersion) and the
@@ -64,11 +66,6 @@ type Store struct {
 	// independent of salt, so trace and result invalidation decouple
 	// (see trace.go); tests override it via OpenTraceSalted.
 	traceSalt string
-
-	// peer, when non-nil, is the HTTP store-peer this store reads
-	// through and replicates to (see peer.go). Set once via SetPeer
-	// before concurrent use.
-	peer *peer
 
 	hits, misses, puts                atomic.Int64
 	traceHits, traceMisses, tracePuts atomic.Int64
@@ -203,24 +200,10 @@ func (s *Store) objectPath(key string) string {
 }
 
 // Get returns the cached result for the request, or (nil, false). An
-// unreadable or mismatched object is treated as a miss, never an
-// error: the caller will recompute and Put over it. When a peer is
-// attached (SetPeer), a local miss falls through to the peer:
-// read-through fetches are validated, materialized locally and served
-// like local hits; a down peer degrades to local-only.
+// unreadable or mislabelled object is treated as a miss, never an
+// error: the caller will recompute and Put over it.
 func (s *Store) Get(r sweep.Request) (*core.Result, bool) {
-	key := s.Key(r)
-	_, o, ok := s.loadObject(key)
-	if !ok && s.peer != nil {
-		if data, found := s.peer.fetch(key); found {
-			if po, valid := decodeObject(data, key); valid {
-				// Materialize locally (best-effort) so the next lookup
-				// does not pay the network again.
-				s.writeObject(key, data)
-				o, ok = po, true
-			}
-		}
-	}
+	o, ok := s.loadObject(s.Key(r))
 	if !ok {
 		s.misses.Add(1)
 		return nil, false
@@ -229,21 +212,15 @@ func (s *Store) Get(r sweep.Request) (*core.Result, bool) {
 	return r.Restore(o.Result), true
 }
 
-// loadObject reads and validates one local object by key, returning
-// its file bytes and their decoding.
-func (s *Store) loadObject(key string) ([]byte, *object, bool) {
+// loadObject reads one object by key and validates it against the key
+// it was asked for: a file that does not decode, or whose embedded Key
+// differs from its path (a truncated or misplaced object),
+// is a miss.
+func (s *Store) loadObject(key string) (*object, bool) {
 	data, err := os.ReadFile(s.objectPath(key))
 	if err != nil {
-		return nil, nil, false
+		return nil, false
 	}
-	o, ok := decodeObject(data, key)
-	return data, o, ok
-}
-
-// decodeObject validates raw object bytes against the key they claim
-// to live under — the guard that keeps a corrupt or mislabelled peer
-// response from ever entering the store.
-func decodeObject(data []byte, key string) (*object, bool) {
 	var o object
 	if json.Unmarshal(data, &o) != nil || o.Key != key {
 		return nil, false
@@ -251,24 +228,10 @@ func decodeObject(data []byte, key string) (*object, bool) {
 	return &o, true
 }
 
-// writeObject atomically writes object bytes the caller has validated
-// (decodeObject); failures are swallowed (persistence is best-effort).
-func (s *Store) writeObject(key string, data []byte) {
-	path := s.objectPath(key)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return
-	}
-	if err := atomicWrite(path, data); err != nil {
-		return
-	}
-	s.puts.Add(1)
-}
-
 // Put persists the result under the request's key. The object write is
-// atomic, so concurrent Puts of the
-// same cell (identical content) and interrupted sweeps are both safe.
-// With a peer attached, the object is also queued for write-behind
-// replication (see peer.go); replication failures never fail the Put.
+// atomic, so concurrent Puts of the same cell (identical content) —
+// from one process or from several sharing the directory — and
+// interrupted sweeps are all safe.
 func (s *Store) Put(r sweep.Request, res *core.Result) error {
 	key := s.Key(r)
 	o := object{
@@ -293,9 +256,6 @@ func (s *Store) Put(r sweep.Request, res *core.Result) error {
 		return fmt.Errorf("store: %w", err)
 	}
 	s.puts.Add(1)
-	if s.peer != nil {
-		s.peer.enqueue(key, data)
-	}
 	return nil
 }
 

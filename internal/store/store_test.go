@@ -2,8 +2,11 @@ package store
 
 import (
 	"bytes"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -235,8 +238,9 @@ func TestCachedResultFields(t *testing.T) {
 	}
 }
 
-// TestCorruptObjectIsMiss: an unreadable object degrades to a miss and
-// is repaired by the next Put.
+// TestCorruptObjectIsMiss: an object file that does not decode, or a
+// well-formed object under the wrong key (a misplaced or mislabelled
+// file), degrades to a miss and is repaired by the next Put.
 func TestCorruptObjectIsMiss(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
@@ -251,23 +255,132 @@ func TestCorruptObjectIsMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put(req, res); err != nil {
+	other := req
+	other.Variant = core.VariantAuto
+	if err := s.Put(other, &core.Result{Snapshot: core.Snapshot{Checksum: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	mislabelled, err := os.ReadFile(s.objectPath(s.Key(other)))
+	if err != nil {
 		t.Fatal(err)
 	}
 
-	key := s.Key(req)
-	path := filepath.Join(s.Dir(), "objects", key[:2], key+".json")
-	if err := os.WriteFile(path, []byte("{not json"), 0o644); err != nil {
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"not json", []byte("{not json")},
+		{"wrong key", mislabelled},
+	} {
+		if err := s.Put(req, res); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(s.objectPath(s.Key(req)), tc.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := s.Get(req); ok {
+			t.Fatalf("%s: corrupt object served as a hit: %+v", tc.name, got)
+		}
+		if err := s.Put(req, res); err != nil {
+			t.Fatal(err)
+		}
+		got, ok := s.Get(req)
+		if !ok {
+			t.Fatalf("%s: re-put did not repair corrupt object", tc.name)
+		}
+		if got.Snapshot != res.Snapshot {
+			t.Fatalf("%s: repaired object serves %+v, want %+v", tc.name, got.Snapshot, res.Snapshot)
+		}
+	}
+}
+
+// runGrid runs the grid through a Runner backed by cache.
+func runGrid(t *testing.T, grid sweep.Grid, cache sweep.Cache) *sweep.ResultSet {
+	t.Helper()
+	runner := sweep.Runner{Jobs: 2, Cache: cache, OnPutError: func(_ sweep.Request, err error) {
+		t.Errorf("put: %v", err)
+	}}
+	set, err := runner.Execute(grid.Expand())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Get(req); ok {
-		t.Fatal("corrupt object served as a hit")
+	return set
+}
+
+// TestSharedDirectory: two Store handles on one directory — two
+// coordinators pointed at one -store — run overlapping grids at the
+// same time. Racing writers of a shared cell store the same bits, so
+// both answers match an uncached run, a second pass through either
+// handle is served entirely from the directory, and no temp file of an
+// atomic write is left behind.
+func TestSharedDirectory(t *testing.T) {
+	dir := t.TempDir()
+	tiny := workloads.Tiny()
+	a := tinyGrid()
+	a.Execs = []core.ExecMode{core.ExecReplay} // exercise traces/ too
+	b := tinyGrid()
+	b.Workloads = []*workloads.Workload{tiny[1], tiny[2]}
+
+	var want [2][]byte
+	for i, grid := range []sweep.Grid{a, b} {
+		plain, err := grid.Run(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = emit(t, plain)
 	}
-	if err := s.Put(req, res); err != nil {
-		t.Fatal(err)
+
+	var stores [2]*Store
+	for i := range stores {
+		st, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stores[i] = st
 	}
-	if _, ok := s.Get(req); !ok {
-		t.Fatal("re-put did not repair corrupt object")
+	grids := [2]sweep.Grid{a, b}
+	var got [2][]byte
+	var wg sync.WaitGroup
+	for i := range stores {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = emit(t, runGrid(t, grids[i], stores[i]))
+		}()
+	}
+	wg.Wait()
+	for i := range stores {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("grid %d through a shared store differs from an uncached run:\n%s\nvs\n%s", i, got[i], want[i])
+		}
+	}
+
+	if st := stores[0].Stats(); st.TracePuts == 0 {
+		t.Fatal("replay grid stored no trace; traces/ goes unchecked")
+	}
+
+	// Each handle now finds every cell of either grid in the directory.
+	for i, st := range stores {
+		for j, grid := range grids {
+			before := st.Stats()
+			if out := emit(t, runGrid(t, grid, st)); !bytes.Equal(out, want[j]) {
+				t.Fatalf("handle %d, grid %d: warm pass differs from an uncached run", i, j)
+			}
+			after := st.Stats()
+			cells := int64(len(grid.Expand()))
+			if hits, puts := after.Hits-before.Hits, after.Puts-before.Puts; hits != cells || puts != 0 {
+				t.Errorf("handle %d warm pass: %d hits / %d puts, want %d / 0", i, hits, puts, cells)
+			}
+		}
+	}
+
+	for _, sub := range []string{"objects", "traces"} {
+		filepath.WalkDir(filepath.Join(dir, sub), func(path string, d fs.DirEntry, err error) error {
+			if err == nil && strings.Contains(d.Name(), ".tmp") {
+				t.Errorf("temp file left behind: %s", path)
+			}
+			return nil
+		})
 	}
 }
 
